@@ -11,7 +11,8 @@ beam_waist, jitter) resolved through the channels module.
                        [--samples N] [--out FILE]
     cascade-fading eval <config> --quantity pdf|cdf|kappa|diversity [--at X]
 
-Exit codes: 0 success, 2 invalid config, 3 numeric accuracy failure.
+Exit codes: 0 success, 2 invalid config (a sweep point outside the
+physical domain included), 3 numeric accuracy failure.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .performance import (
     op_thz,
 )
 from .mc import mc_cdf, mc_op_parallel, mc_op_thz
-from .specfun import AccuracyError
+from .specfun import AccuracyError, DomainError
 
 __all__ = [
     "ConfigError",
@@ -484,7 +485,11 @@ def _csv_cell(v):
 
 
 def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
-    """Run the configured sweep; returns (csv_text, flagged_points)."""
+    """Run the configured sweep; returns (csv_text, flagged_points).
+
+    Points whose evaluation refuses are flagged; a point outside the domain
+    of the channel physics raises ConfigError naming its sweep value.
+    """
     grid = cfg.sweep.grid()
     workers = int(os.environ.get("CASCADE_FADING_THREADS", "0")) or None
 
@@ -494,6 +499,9 @@ def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
         except AccuracyError as exc:
             return {"op_analytic": "", "op_mc": "", "mc_stderr": "",
                     "method": "", "accuracy_flag": "failed", "_error": str(exc)}
+        except DomainError as exc:
+            raise ConfigError("sweep", cfg.sweep.variable,
+                              f"sweep_value={value:g}: {exc}") from exc
 
     if workers is not None and workers > 1 and len(grid) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -582,9 +590,6 @@ def _fig_recipes():
             "fso_cascade", links, AtmosphereConfig(),
             TransceiverConfig(snr_ratio_db=35.0),
             SweepConfig("snr_db", 20.0, 35.0, 7, "db"))
-    # the closed-form bound keeps full precision from moderate SNR upward
-    # (coincident-parameter multiples limit the deep upper tail), so each
-    # parallel recipe sweeps the supported window of its branch count
     for preset in ("weak", "strong"):
         recipes[f"fig7_{preset}"] = ScenarioConfig(
             "fso_parallel",
@@ -617,8 +622,6 @@ def _fig_recipes():
         AtmosphereConfig(cn2=2.3e-9, frequency=300e9),
         TransceiverConfig(power_dbw=0.0, bandwidth=50e9, noise_figure_db=9.0,
                           gain_tx_dbi=50.0, gain_rx_dbi=50.0, gamma_th_db=4.77),
-        # below ~180 GHz the links are so weakly turbulent that the product
-        # law needs more than double-double precision on its lower flank
         SweepConfig("frequency", 180e9, 500e9, 65, "linear"))
     recipes["fig12"] = ScenarioConfig(
         "thz_cascade",

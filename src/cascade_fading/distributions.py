@@ -2,18 +2,31 @@
 
 The composite channel is Z = Z1 * Z2 with Z1 a product of N independent
 Gamma-Gamma variates and Z2 a product of L power-law misalignment factors
-(L <= N).  PDF and CDF of Z are Meijer G functions of the scaled argument
-z = x * prod(alpha_i beta_i / Omega_i) / prod(A_o,i); they are evaluated
-through the residue expansion in :mod:`cascade_fading.specfun`, switching to
-the leading exponential asymptote deep in the upper tail where the expansion
-loses precision to cancellation.
+(L <= N).  PDF and CDF of Z are Meijer G functions, and a Meijer G function is
+its Mellin-Barnes integral.  For Z the integrand is elementary:
+
+    E[Z^s] = prod Gamma(alpha+s) Gamma(beta+s) / (Gamma(alpha) Gamma(beta))
+                  * (Omega / (alpha beta))^s
+           * prod A_o^s xi / (xi + s),        Re s > -min(alpha, beta, xi).
+
+With s = c + i t on a vertical line,
+
+    F(x)     = (1/pi) int_0^inf Re[-x^-s E[Z^s] / s] dt,   -b_min < c < 0,
+    1 - F(x) = (1/pi) int_0^inf Re[ x^-s E[Z^s] / s] dt,    c > 0,
+    f(x)     = (1/(pi x)) int_0^inf Re[x^-s E[Z^s]] dt,     c > -b_min.
+
+The integrand decays like exp(-N pi |t|), so the trapezoidal rule converges
+exponentially in the step (Trefethen & Weideman, SIAM Rev. 56, 2014).  The
+line sits at the saddle of the real integrand, the step follows from the
+pole-free strip around it, and the sum on twice the step, taken from the same
+nodes, gives the error estimate.  Coincident parameters only merge poles off
+the line, so they need no special treatment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
@@ -23,10 +36,7 @@ from .specfun import (
     DegenerateParametersError,
     DomainError,
     MeijerGSpec,
-    SlaterExpansion,
-    _eval_expansion,
-    _perturbed_specs,
-    _richardson,
+    _degenerate_pairs,
     build_slater_expansion,
 )
 
@@ -44,37 +54,25 @@ __all__ = [
     "sample_z",
 ]
 
-# Upper-tail handling.  The residue expansion (with its double-double
-# escalation) carries the evaluation until the complement drops to
-# _TAIL_HANDOFF, beyond which an exponential tail model takes over.  The
-# model is the leading asymptote of the Meijer G times a (1 + c1/t + c2/t^2)
-# correction fitted per product against the expansion itself just inside the
-# handoff; the raw leading order alone can be off by large factors when the
-# shape parameters exceed the stretched argument t = z^(1/sigma).  Elements
-# whose expansion error estimate is too coarse may be rescued by the model
-# once the complement is below _TAIL_RESCUE; many-factor products keep a
-# narrow band where neither representation is trustworthy, which raises
-# AccuracyError rather than returning a doubtful number.
-_TAIL_HANDOFF = 3e-8
-_TAIL_RESCUE = 3e-2
-_NEAR_ONE = 0.99
-_NEAR_ONE_ERR = 3e-7
-
-# Runtime guards on the tracked (deliberately conservative) error estimate;
-# tests pin the true accuracy against independent oracles.  The PDF guard is
-# looser: its Richardson estimates run ~1e-3 relative in the bulk while the
-# realized error stays orders below.
+# Refusal guards on the error estimate, the gap between the trapezoidal sums
+# on steps h and 2h.  The coarse sum is far less accurate than the returned
+# fine one, so the estimate is conservative; tests pin the true accuracy
+# against independent oracles.
 _GUARD_REL = 3e-4
 _GUARD_REL_PDF = 2e-3
 _GUARD_ABS = 1e-9
 
-# Misalignment factors with xi above this are quasi-deterministic: their
-# residue terms would put exponents ~xi into the expansion (whose series then
-# overflow), while integrating them out over a short Gauss-Laguerre rule is
-# accurate to O((c/xi)^12).  l = A_o U^(1/xi) means -xi ln(l/A_o) is standard
-# exponential.
-_BIG_XI = 64.0
-_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = sp.roots_laguerre(6)
+# Target size of the discretization and truncation errors of a line
+# integral, relative to the integrand's peak on the line; the node count
+# beyond which an evaluation refuses; the iteration cap of the saddle search.
+_MB_TOL = 1e-17
+_MB_MAX_NODES = 1 << 16
+_SADDLE_ITERS = 100
+
+# z_cdf_asymptotic integrates pointing factors with xi at least this large
+# out of the residue sum: their gamma-ratio coefficients overflow near
+# xi ~ 170, and their own x^xi terms are negligible against x^b_min.
+_ASYMPTOTIC_XI = 64.0
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ class CompositeProduct:
     @property
     def is_degenerate(self):
         """True when the exponent tuple has an integer-separated pair."""
-        return _machinery(self, "cdf").degenerate
+        return bool(_degenerate_pairs(self.b_tuple))
 
     def replicated(self, times):
         """Product law of `times` independent copies multiplied together."""
@@ -189,165 +187,115 @@ def _cdf_spec(ch: CompositeProduct) -> MeijerGSpec:
     return MeijerGSpec(q - 1, 1, ch.l + 1, q, ch.a_tuple, ch.b_tuple + (0.0,))
 
 
-def _pdf_spec(ch: CompositeProduct) -> MeijerGSpec:
-    q = 2 * ch.n + ch.l
-    return MeijerGSpec(q, 0, ch.l, q, ch.a_tuple[1:], ch.b_tuple)
+class _MellinLaw:
+    """log E[Z^s] = s log_scale + log_norm + sum lnGamma(shape + s)
+    - sum ln(xi + s), with its real slices used to place a line."""
+
+    def __init__(self, ch: CompositeProduct):
+        self.shapes = np.array([g.alpha for g in ch.gg_links]
+                               + [g.beta for g in ch.gg_links])
+        self.xis = np.array([p.xi for p in ch.pe_links])
+        self.log_scale = (sum(math.log(g.omega / (g.alpha * g.beta)) for g in ch.gg_links)
+                          + sum(math.log(p.a_o) for p in ch.pe_links))
+        self.log_norm = float(np.sum(np.log(self.xis)) - np.sum(sp.gammaln(self.shapes)))
+        self.poles = -np.concatenate((self.shapes, self.xis))
+        self.b_min = -float(np.max(self.poles))
+        # E[ln Z], the slope of log E[Z^s] at s = 0
+        self.mean_log = float(self.log_scale + np.sum(sp.digamma(self.shapes))
+                              - np.sum(1.0 / self.xis))
+
+    def log_moment(self, s):
+        """log E[Z^s] on the complex array s."""
+        out = s * self.log_scale + self.log_norm
+        out = out + np.sum(sp.loggamma(self.shapes[:, None] + s), axis=0)
+        return out - np.sum(np.log(self.xis[:, None] + s), axis=0)
+
+    def log_size(self, c, lx, pole):
+        """log of the real integrand x^-c E[Z^c] (over |c| when pole)."""
+        v = (c * (self.log_scale - lx) + self.log_norm
+             + np.sum(sp.gammaln(self.shapes + c)) - np.sum(np.log(self.xis + c)))
+        return float(v) - (math.log(abs(c)) if pole else 0.0)
+
+    def slopes(self, c, lx, pole):
+        """First and second derivative of log_size in c."""
+        g = (self.log_scale - lx + np.sum(sp.digamma(self.shapes + c))
+             - np.sum(1.0 / (self.xis + c)))
+        g2 = np.sum(sp.zeta(2.0, self.shapes + c)) + np.sum((self.xis + c) ** -2.0)
+        if pole:
+            g, g2 = g - 1.0 / c, g2 + 1.0 / (c * c)
+        return float(g), float(g2)
 
 
-@dataclass(frozen=True)
-class _Machinery:
-    expansions: tuple  # one (clean) or two (perturbed +/-)
-    degenerate: bool
+def _saddle(law: _MellinLaw, lx, lo, hi, c, pole):
+    """Minimum of the convex log_size on (lo, hi) by safeguarded Newton,
+    with the curvature there.
 
-
-@lru_cache(maxsize=512)
-def _machinery(ch: CompositeProduct, kind: str) -> _Machinery:
-    spec = _cdf_spec(ch) if kind == "cdf" else _pdf_spec(ch)
-    try:
-        return _Machinery((build_slater_expansion(spec),), False)
-    except DegenerateParametersError:
-        return _Machinery(
-            tuple(build_slater_expansion(s) for s in _perturbed_specs(spec)),
-            True,
-        )
-
-
-def _eval_machinery(mach: _Machinery, z):
-    """Expansion value and error estimate at z; Richardson-extrapolated over
-    the perturbation ladder in the degenerate case.  Instability shows up in
-    the returned estimate, the zone logic of the callers decides what to do."""
-    if not mach.degenerate:
-        return _eval_expansion(mach.expansions[0], z)
-    evals = [_eval_expansion(e, z) for e in mach.expansions]
-    val, g1, g2, err = _richardson([e[0] for e in evals],
-                                   [e[1] for e in evals])
-    return val, err
-
-
-def _tail_params(ch: CompositeProduct):
-    """Constants of the upper-tail asymptote.
-
-    The PDF-side G function behaves like A * z^theta * exp(-sigma z^(1/sigma))
-    for large z (sigma = 2N), hence the complement of the CDF carries an extra
-    z^(-1/sigma).
+    Where hi is infinite the slope is concave, so Newton steps from the left
+    of the minimum stay left of it; any step leaving the bracket is replaced
+    by bisection.
     """
-    sigma = 2 * ch.n
-    sum_b = sum(ch.b_tuple)
-    theta = (1.0 - sigma) / (2.0 * sigma) + (sum_b - sum(ch.a_tuple[1:])) / sigma
-    ln_amp = 0.5 * (sigma - 1) * math.log(2 * math.pi) - 0.5 * math.log(sigma)
-    return sigma, theta, ln_amp + math.log(ch.prefactor)
-
-
-def _ln_tail(ch: CompositeProduct, z):
-    """log of the leading-order complement 1 - F at scaled argument z."""
-    sigma, theta, ln_c = _tail_params(ch)
-    t = np.power(z, 1.0 / sigma)
-    return ln_c + (theta - 1.0 / sigma) * np.log(z) - sigma * t, t
-
-
-def _leading_t_at(ch: CompositeProduct, target_ln, kind):
-    """Stretched argument t where the leading tail/pdf magnitude hits a level."""
-    sigma, theta, ln_c = _tail_params(ch)
-    power = theta - (1.0 / sigma if kind == "cdf" else 0.0)
-
-    def lead(t):
-        return ln_c + power * sigma * math.log(t) - sigma * t
-
-    t_lo = max(power, 0.0) + 2.0
-    t_hi = t_lo
-    while lead(t_hi) > target_ln:
-        t_hi *= 1.5
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if lead(mid) > target_ln:
-            t_lo = mid
+    for _ in range(_SADDLE_ITERS):
+        g, g2 = law.slopes(c, lx, pole)
+        if g < 0.0:
+            lo = c
         else:
-            t_hi = mid
-    return t_hi
+            hi = c
+        nxt = c - g / g2
+        if abs(nxt - c) <= 1e-10 * (1.0 + abs(c)):
+            break
+        c = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return c, g2
 
 
-@dataclass(frozen=True)
-class _TailModel:
-    kappa_a: float
-    kappa_b: float
-    t_min: float
-    far_z: float
+def _line_integral(law: _MellinLaw, lx, kind):
+    """One Mellin-Barnes integral at ln x = lx: (value, error estimate).
 
-
-@lru_cache(maxsize=512)
-def _tail_model(ch: CompositeProduct, kind: str) -> _TailModel:
-    """Fit the exponential-tail correction against the expansion itself.
-
-    The true tail relates to the leading asymptote through a factor of the
-    form exp((kappa_a + kappa_b ln t) / t) when the shape parameters are
-    comparable to the stretched argument t = z^(1/sigma) (the ln(ratio) * t
-    product is nearly constant in t).  The two coefficients are fitted at a
-    ladder of points shallow enough for the double-double expansion to give
-    near-exact references; unusable points (tracked error above 0.5 percent
-    of the reference) are dropped, and with no usable points the raw leading
-    order is kept.
+    kind "F" gives P(Z <= x), "Q" gives P(Z > x) and "f" gives x times the
+    density.  Every quantity depends on (law, lx) alone, so scalar and array
+    calls agree bit for bit.
     """
-    sigma, theta, ln_c = _tail_params(ch)
-    mach = _machinery(ch, kind)
-    power = theta - (1.0 / sigma if kind == "cdf" else 0.0)
-    t_start = max(1.2, 0.35 * power + 0.8)
-    ladder = t_start * 1.08 ** np.arange(64)
-    lead_ln = ln_c + power * sigma * np.log(ladder) - sigma * ladder
-    ladder = ladder[lead_ln > math.log(1e-14)]
-    raw, err = _eval_machinery(mach, ladder**sigma)
-    if kind == "cdf":
-        refs = 1.0 - raw * ch.prefactor
+    pole = kind != "f"
+    if kind == "F":
+        c, curv = _saddle(law, lx, -law.b_min, 0.0, -0.5 * law.b_min, True)
     else:
-        refs = raw * ch.prefactor
-    ests = err * ch.prefactor
-    ts, ys = [], []
-    for t, ref, est in zip(ladder, refs, ests):
-        if not (math.isfinite(ref) and math.isfinite(est)) or ref <= 0 or ref < 1e-7:
-            continue
-        if est <= 0.02 * ref and ref <= 0.5:
-            lead = math.exp(ln_c + power * sigma * math.log(t) - sigma * t)
-            ts.append(float(t))
-            ys.append(math.log(ref / lead))
-        elif ref <= 0.5 and ts:
-            break  # error estimate taking over; deeper points add nothing
-    if not ts:
-        # last resort: stretch the raw leading order far enough out that its
-        # known underestimate cannot matter at the handoff level
-        t_far = _leading_t_at(ch, math.log(_TAIL_HANDOFF * 1e-3), kind)
-        return _TailModel(0.0, 0.0, math.inf, t_far**sigma)
-    ts, ys = ts[-6:], ys[-6:]
-    if len(ts) == 1:
-        ka, kb = ys[0] * ts[0], 0.0
-    else:
-        a = np.array([[1.0 / t, math.log(t) / t] for t in ts])
-        ka, kb = np.linalg.lstsq(a, np.array(ys), rcond=None)[0]
-
-    def model_ln(t):
-        power = theta - (1.0 / sigma if kind == "cdf" else 0.0)
-        return (ln_c + power * sigma * math.log(t) - sigma * t
-                + (ka + kb * math.log(t)) / t)
-
-    t_lo = min(ts)
-    t_hi = t_lo
-    while model_ln(t_hi) > math.log(_TAIL_HANDOFF):
-        t_hi *= 1.5
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if model_ln(mid) > math.log(_TAIL_HANDOFF):
-            t_lo = mid
-        else:
-            t_hi = mid
-    return _TailModel(float(ka), float(kb), min(ts), t_hi**sigma)
-
-
-def _model_tail(ch: CompositeProduct, model: _TailModel, z, kind):
-    """Corrected tail (kind=cdf: complement; kind=pdf: G magnitude) at z."""
-    sigma, theta, ln_c = _tail_params(ch)
-    t = np.power(z, 1.0 / sigma)
-    power = theta - (1.0 / sigma if kind == "cdf" else 0.0)
-    lead = ln_c + power * np.log(z) - sigma * t
-    corr = (model.kappa_a + model.kappa_b * np.log(t)) / t
-    return np.exp(lead + corr), t
+        lo = 0.0 if pole else -law.b_min
+        c, curv = _saddle(law, lx, lo, math.inf, 1.0 if pole else 0.0, pole)
+    poles = np.append(law.poles, 0.0) if pole else law.poles
+    peak = law.log_size(c, lx, pole)
+    # The integrand is analytic in the strip |Re s - c| < a and bounded there
+    # by its real value at c +- a, so the discretization error falls like
+    # exp(-2 pi a / h) times that bound.  a stays half-way to the nearest
+    # pole, and no wider than where the bound grows by 1/_MB_TOL through the
+    # curvature at the saddle (wider strips only lengthen the sum).
+    budget = 1.0 - math.log(_MB_TOL)
+    a = min(0.5 * float(np.min(np.abs(c - poles))), math.sqrt(2.0 * budget / curv))
+    edge = max(law.log_size(c - a, lx, pole), law.log_size(c + a, lx, pole))
+    h = 2.0 * math.pi * a / (edge - peak + budget)
+    # |integrand| decreases in |t|: add nodes until it drops below the floor
+    floor = peak + math.log(_MB_TOL)
+    chunks, k0, n = [], 0, 64
+    while True:
+        s = c + 1j * (h * np.arange(k0, k0 + n))
+        logv = law.log_moment(s) - s * lx
+        if pole:
+            logv = logv - np.log(s)
+        small = logv.real < floor
+        small[0] &= k0 > 0  # node 0 is the peak itself
+        if small.any():
+            chunks.append(logv[:int(np.argmax(small))])
+            break
+        chunks.append(logv)
+        k0, n = k0 + n, 2 * n
+        if k0 >= _MB_MAX_NODES:
+            raise AccuracyError(
+                f"Mellin-Barnes integral needs more than {_MB_MAX_NODES} nodes "
+                f"(ln x = {lx:.6g})")
+    re = np.exp(np.concatenate(chunks) - peak).real
+    fine = 0.5 * re[0] + np.sum(re[1:])
+    coarse = 2.0 * (0.5 * re[0] + np.sum(re[2::2]))
+    scale = h / math.pi * math.exp(peak)
+    sign = -1.0 if kind == "F" else 1.0
+    return sign * scale * fine, scale * abs(fine - coarse)
 
 
 def _accuracy_fail(what, val, err):
@@ -360,142 +308,92 @@ def _accuracy_fail(what, val, err):
 def _as_array(x, allow_zero=False):
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xx = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.isnan(xx)):
+        raise DomainError("argument must not be NaN")
     if np.any(xx < 0) or (not allow_zero and np.any(xx <= 0)):
         raise DomainError("argument must be positive")
     return xx, scalar
 
 
-@lru_cache(maxsize=512)
-def _big_xi_mixture(ch: CompositeProduct):
-    """Split off quasi-deterministic misalignment links.
+def _cdf_at(law: _MellinLaw, x):
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    lx = math.log(x)
+    if lx < law.mean_log:
+        val, err = _line_integral(law, lx, "F")
+    else:
+        q, err = _line_integral(law, lx, "Q")
+        val = 1.0 - q
+    if not err <= _GUARD_REL * abs(val) + _GUARD_ABS:
+        _accuracy_fail("CDF", val, err)
+    return val
 
-    Returns (rest, scales, weights): the composite without the xi >= _BIG_XI
-    links, plus mixture nodes such that F(x) = sum_k w_k F_rest(x * s_k) and
-    f(x) = sum_k w_k f_rest(x * s_k) * s_k.
-    """
-    big = tuple(p for p in ch.pe_links if p.xi >= _BIG_XI)
-    if not big:
-        return None
-    rest = CompositeProduct(ch.gg_links,
-                            tuple(p for p in ch.pe_links if p.xi < _BIG_XI))
-    scales = np.array([1.0])
-    weights = np.array([1.0])
-    for p in big:
-        s_p = np.exp(np.asarray(_LAGUERRE_NODES) / p.xi) / p.a_o
-        w_p = np.asarray(_LAGUERRE_WEIGHTS, dtype=float)
-        scales = (scales[:, None] * s_p[None, :]).ravel()
-        weights = (weights[:, None] * w_p[None, :]).ravel()
-    return rest, scales, weights / np.sum(weights)
+
+def _pdf_at(law: _MellinLaw, x):
+    if x == math.inf:
+        return 0.0
+    val, err = _line_integral(law, math.log(x), "f")
+    val, err = val / x, err / x
+    if not err <= _GUARD_REL_PDF * abs(val) + 1e-12:
+        _accuracy_fail("PDF", val, err)
+    return val
 
 
 def z_cdf(ch: CompositeProduct, x):
-    """CDF of the composite product Z at x (scalar or array): the residue
-    expansion of the closed form plus the fitted exponential tail model."""
+    """CDF of the composite product Z at x >= 0 (scalar or array).
+
+    Below E[ln Z] the Mellin-Barnes integral of F is taken on a line left of
+    the origin, above it the complement's on a line right of it, so the
+    small side of the distribution keeps its relative precision.  Raises
+    AccuracyError when the error estimate exceeds the refusal guard.
+    """
     xx, scalar = _as_array(x, allow_zero=True)
-    mixture = _big_xi_mixture(ch)
-    if mixture is not None:
-        rest_ch, scales, weights = mixture
-        grid = xx[:, None] * scales[None, :]
-        vals = z_cdf(rest_ch, grid.ravel()).reshape(grid.shape)
-        out = vals @ weights
-        return float(out[0]) if scalar else out
-    out = np.zeros_like(xx)
-    pos = xx > 0
-    if np.any(pos):
-        model = _tail_model(ch, "cdf")
-        z = xx[pos] * ch.rate_scale
-        vals = np.empty_like(z)
-        far = z >= model.far_z
-        if np.any(far):
-            tail, _ = _model_tail(ch, model, z[far], "cdf")
-            vals[far] = 1.0 - tail
-        rest = ~far
-        if np.any(rest):
-            mach = _machinery(ch, "cdf")
-            raw, err = _eval_machinery(mach, z[rest])
-            raw = raw * ch.prefactor
-            err = err * ch.prefactor
-            shaky = (err > _GUARD_REL * np.abs(raw) + _GUARD_ABS) | (
-                (raw > _NEAR_ONE) & (err > _NEAR_ONE_ERR)
-            ) | ~np.isfinite(raw) | ~np.isfinite(err)
-            if np.any(shaky):
-                tail_rest, t_rest = _model_tail(ch, model, z[rest], "cdf")
-                rescue = shaky & (tail_rest <= _TAIL_RESCUE) & (t_rest >= 0.95 * model.t_min)
-                raw = np.where(rescue, 1.0 - tail_rest, raw)
-                err = np.where(rescue, 0.02 * tail_rest, err)
-                left = shaky & ~rescue
-                if np.any(left):
-                    i = int(np.argmax(np.where(left, np.nan_to_num(err, nan=np.inf), 0.0)))
-                    _accuracy_fail("CDF", raw[i], err[i])
-            vals[rest] = raw
-        out[pos] = vals
+    law = _MellinLaw(ch)
+    out = np.array([_cdf_at(law, v) for v in xx.flat]).reshape(xx.shape)
     return float(out[0]) if scalar else out
 
 
 def z_pdf(ch: CompositeProduct, x):
-    """PDF of the composite product Z at x > 0 (scalar or array)."""
+    """PDF of the composite product Z at x > 0 (scalar or array), by the
+    Mellin-Barnes integral on its saddle line."""
     xx, scalar = _as_array(x)
-    mixture = _big_xi_mixture(ch)
-    if mixture is not None:
-        rest_ch, scales, weights = mixture
-        grid = xx[:, None] * scales[None, :]
-        vals = z_pdf(rest_ch, grid.ravel()).reshape(grid.shape)
-        out = (vals * scales[None, :]) @ weights
-        return float(out[0]) if scalar else out
-    model = _tail_model(ch, "pdf")
-    z = xx * ch.rate_scale
-    vals = np.empty_like(z)
-    far = z >= model.far_z
-    if np.any(far):
-        g_far, _ = _model_tail(ch, model, z[far], "pdf")
-        vals[far] = g_far / xx[far]
-    rest = ~far
-    if np.any(rest):
-        mach = _machinery(ch, "pdf")
-        raw, err = _eval_machinery(mach, z[rest])
-        raw = raw * ch.prefactor / xx[rest]
-        err = err * ch.prefactor / xx[rest]
-        shaky = (err > _GUARD_REL_PDF * np.abs(raw) + 1e-12) | ~np.isfinite(raw)
-        if np.any(shaky):
-            g_rest, t_rest = _model_tail(ch, model, z[rest], "pdf")
-            rescue = shaky & (g_rest <= _TAIL_RESCUE) & (t_rest >= 0.95 * model.t_min)
-            raw = np.where(rescue, g_rest / xx[rest], raw)
-            left = shaky & ~rescue
-            if np.any(left):
-                i = int(np.argmax(np.where(left, np.nan_to_num(err, nan=np.inf), 0.0)))
-                _accuracy_fail("PDF", raw[i], err[i])
-        vals[rest] = raw
-    return float(vals[0]) if scalar else vals
+    law = _MellinLaw(ch)
+    out = np.array([_pdf_at(law, v) for v in xx.flat]).reshape(xx.shape)
+    return float(out[0]) if scalar else out
 
 
 def z_cdf_asymptotic(ch: CompositeProduct, x):
     """Small-x limit of the CDF: the finite sum of x^(B_i) residue terms.
 
     Requires an exponent tuple free of integer separations; for coincident
-    parameters use the exact z_cdf instead.
+    parameters use the exact z_cdf instead.  A pointing factor with
+    xi >= 64 multiplies each term c_i x^(b_i) of the others by its exact
+    moment E[l^(-b_i)] = A_o^(-b_i) xi / (xi - b_i).
     """
     xx, scalar = _as_array(x, allow_zero=True)
-    mixture = _big_xi_mixture(ch)
-    if mixture is not None:
-        rest_ch, scales, weights = mixture
-        grid = xx[:, None] * scales[None, :]
-        vals = z_cdf_asymptotic(rest_ch, grid.ravel()).reshape(grid.shape)
-        out = vals @ weights
-        return float(out[0]) if scalar else out
-    mach = _machinery(ch, "cdf")
-    if mach.degenerate:
+    big = [p for p in ch.pe_links if p.xi >= _ASYMPTOTIC_XI]
+    rest = CompositeProduct(ch.gg_links,
+                            tuple(p for p in ch.pe_links if p.xi < _ASYMPTOTIC_XI))
+    try:
+        expansion = build_slater_expansion(_cdf_spec(rest))
+    except DegenerateParametersError:
         raise DegenerateParametersError(
             "exponent tuple has integer-separated entries; the power-law "
             "limit does not apply, use z_cdf"
-        )
-    z = xx * ch.rate_scale
+        ) from None
+    z = xx * rest.rate_scale
     out = np.zeros_like(z)
     pos = z > 0
     zp = z[pos]
     acc = np.zeros_like(zp)
-    for term in mach.expansions[0].terms:
-        acc += term.coefficient * np.power(zp, term.exponent)
-    out[pos] = acc * ch.prefactor
+    for term in expansion.terms:
+        coeff = term.coefficient
+        for p in big:
+            coeff *= p.a_o ** -term.exponent * p.xi / (p.xi - term.exponent)
+        acc += coeff * np.power(zp, term.exponent)
+    out[pos] = acc * rest.prefactor
     return float(out[0]) if scalar else out
 
 

@@ -33,8 +33,10 @@ class OutageResult:
     """An outage probability plus how it was obtained.
 
     method is one of exact | asymptotic | upper_bound | hard_ceiling;
-    accuracy_flag is clean, or perturbed when the closed form needed the
-    epsilon-perturbation fallback for coincident parameters.
+    accuracy_flag is clean, or perturbed when the exponent tuple has an
+    integer-separated pair (coincident parameters), where the residue form
+    of the closed form degenerates; the probability is evaluated the same
+    way in both cases.
     """
 
     probability: float

@@ -2,10 +2,12 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cascade_fading import performance
 from cascade_fading.cli import (
     CSV_HEADER,
     ConfigError,
@@ -21,6 +23,8 @@ from cascade_fading.cli import (
     run,
     write_config,
 )
+from cascade_fading.mc import mc_op_parallel
+from cascade_fading.specfun import AccuracyError
 
 MINIMAL = """
 [config]
@@ -44,6 +48,28 @@ turbulence = weak
 alpha = 4.942
 beta = 1.231
 """
+
+
+def _low_snr_fig7_weak():
+    cfg = _fig_recipes()["fig7_weak"]
+    return replace(cfg, sweep=replace(cfg.sweep, start=10.0, stop=12.0, points=2))
+
+
+def _refusing_at_first_point(monkeypatch):
+    """The 10-12 dB fig7_weak sweep, with the CDF made to refuse at 10 dB.
+
+    The shipped channels do not refuse, so the refusal is injected at the
+    evaluator boundary the outage operators call.
+    """
+    exact = performance.z_cdf
+
+    def z_cdf(ch, x):
+        if x > 0.04:  # the 10 dB threshold (1/20) but not the 12 dB one
+            raise AccuracyError("forced refusal")
+        return exact(ch, x)
+
+    monkeypatch.setattr(performance, "z_cdf", z_cdf)
+    return _low_snr_fig7_weak()
 
 
 class TestConfigParsing:
@@ -137,14 +163,28 @@ class TestRun:
             del os.environ["CASCADE_FADING_THREADS"]
         assert serial == parallel
 
-    def test_accuracy_failure_flagged(self):
-        # parallel bound below its supported SNR window
-        cfg = _fig_recipes()["fig7_weak"]
-        from dataclasses import replace
-        bad = replace(cfg, sweep=replace(cfg.sweep, start=10.0, stop=12.0, points=2))
-        text, flagged = run(bad, mode="analytic")
-        assert flagged
-        assert "failed" in text
+    def test_accuracy_failure_flagged(self, monkeypatch):
+        cfg = _refusing_at_first_point(monkeypatch)
+        text, flagged = run(cfg, mode="analytic")
+        assert [value for value, _ in flagged] == [10.0]
+        rows = [r.split(",") for r in text.strip().split("\n")[1:]]
+        assert rows[0][5] == "failed" and rows[0][1] == ""
+        assert float(rows[1][1]) == pytest.approx(0.810245505636, abs=1e-9)
+
+    def test_low_snr_parallel_bound(self):
+        # 10-12 dB lies below the grid of fig7_weak; the AGM bound there must
+        # still dominate the simulated outage of the parallel system
+        cfg = _low_snr_fig7_weak()
+        text, flagged = run(cfg, mode="analytic")
+        assert not flagged
+        rows = [r.split(",") for r in text.strip().split("\n")[1:]]
+        branch = build_product(cfg)
+        for row, expect, seed in zip(rows, (0.891093, 0.810246), (10, 12)):
+            bound = float(row[1])
+            assert bound == pytest.approx(expect, abs=1e-6)
+            sim = mc_op_parallel(branch, 2, 10.0 ** (float(row[0]) / 10.0),
+                                 10**5, seed)
+            assert bound > sim.value + 5 * sim.std_error
 
 
 class TestEval:
@@ -191,15 +231,20 @@ class TestMainExitCodes:
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == 2
 
-    def test_accuracy_failure_exits_3(self, tmp_path, capsys):
-        cfg = _fig_recipes()["fig7_weak"]
-        from dataclasses import replace
-        bad = replace(cfg, sweep=replace(cfg.sweep, start=10.0, stop=12.0,
-                                         points=2))
+    def test_accuracy_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "low.cfg"
-        path.write_text(write_config(bad))
+        path.write_text(write_config(_refusing_at_first_point(monkeypatch)))
         assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 3
-        assert "accuracy failure" in capsys.readouterr().err
+        assert "accuracy failure at sweep_value=10" in capsys.readouterr().err
+
+    def test_domain_error_at_sweep_point_exits_2(self, tmp_path, capsys):
+        cfg = _fig_recipes()["fig5"]
+        path = tmp_path / "zero_jitter.cfg"
+        path.write_text(write_config(
+            replace(cfg, sweep=replace(cfg.sweep, start=0.0))))
+        assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "sweep_value=0" in err
 
 
 class TestScenarioCoverage:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from cascade_fading.distributions import (
@@ -21,7 +22,9 @@ from cascade_fading.distributions import (
     z_cdf_asymptotic,
     z_pdf,
 )
+from cascade_fading.mc import mc_cdf
 from cascade_fading.specfun import (
+    AccuracyError,
     DegenerateParametersError,
     DomainError,
     bessel_k,
@@ -246,6 +249,72 @@ class TestCompositeCdfPdf:
         with pytest.raises(DomainError):
             z_pdf(MIXED_11, -1.0)
         assert z_cdf(MIXED_11, 0.0) == 0.0
+
+    def test_non_finite_arguments(self):
+        for fn in (z_cdf, z_pdf):
+            with pytest.raises(DomainError):
+                fn(MIXED_21, math.nan)
+            with pytest.raises(DomainError):
+                fn(MIXED_21, np.array([0.5, math.nan]))
+        assert z_cdf(MIXED_21, math.inf) == 1.0
+        assert z_pdf(MIXED_21, math.inf) == 0.0
+        assert list(z_cdf(MIXED_21, np.array([0.0, math.inf]))) == [0.0, 1.0]
+
+    @pytest.mark.parametrize("ch", [MIXED_22, CompositeProduct((WEAK, WEAK))])
+    def test_array_matches_scalar_bitwise(self, ch):
+        grid = np.exp(np.linspace(math.log(1e-3), math.log(30.0), 23))
+        cdf, pdf = z_cdf(ch, grid), z_pdf(ch, grid)
+        for i, x in enumerate(grid):
+            assert z_cdf(ch, float(x)) == cdf[i]
+            assert z_pdf(ch, float(x)) == pdf[i]
+
+
+class TestAgainstLargeMonteCarlo:
+    """Channels where the CDF was once silently wrong, raised a bare
+    ValueError, or refused.  The reference is mc_cdf at 1.6e7 samples (one
+    standard error ~1.1e-4); the pinned values hold to the documented 1e-6."""
+
+    N = 16 * 10**6
+
+    @pytest.mark.parametrize("ch,x,expect,seed", [
+        (CompositeProduct((WEAK,) * 3), 1.0, 0.7016804, 41),
+        (CompositeProduct((GammaGammaParams(60.0, 40.0),) * 3), 1.0, 0.566137, 42),
+        (CompositeProduct((WEAK,) * 3), 3.0, 0.934885, 43),
+    ])
+    def test_cdf(self, ch, x, expect, seed):
+        value = z_cdf(ch, x)
+        est = mc_cdf(ch, x, self.N, seed)
+        assert abs(value - est.value) <= 4 * est.std_error
+        assert value == pytest.approx(expect, abs=1e-6)
+
+
+@st.composite
+def _products(draw):
+    shape = st.floats(0.5, 60.0)
+    n = draw(st.integers(1, 4))
+    l = draw(st.integers(0, n))
+    gg = tuple(GammaGammaParams(draw(shape), draw(shape)) for _ in range(n))
+    pe = tuple(PointingErrorParams(draw(st.floats(1.0, 1e4)), draw(st.floats(0.05, 1.0)))
+               for _ in range(l))
+    return CompositeProduct(gg, pe)
+
+
+class TestCdfProperties:
+    @given(_products())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_refuses_or_matches_monte_carlo(self, ch):
+        # x at fixed quantiles of an independent sample of the law
+        xs = np.quantile(sample_z(ch, np.random.default_rng(5), 20_000),
+                         [0.02, 0.2, 0.5, 0.8, 0.98])
+        try:
+            vals = z_cdf(ch, xs)
+        except AccuracyError:
+            return
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(np.diff(vals) >= 0.0)
+        for k, (x, v) in enumerate(zip(xs, vals)):
+            est = mc_cdf(ch, float(x), 200_000, 700 + k)
+            assert abs(v - est.value) <= 5 * est.std_error, (x, v, est)
 
 
 class TestAsymptote:
