@@ -23,7 +23,6 @@ import io
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from scipy.constants import k as BOLTZMANN
@@ -145,6 +144,15 @@ class AtmosphereConfig:
     pressure: float = 101325.0
     humidity: float = 50.0
     frequency: float | None = None
+
+    def __post_init__(self):
+        # Parsed for the config grammar, but no scenario's SNR uses them: the
+        # FSO SNR is snr_ratio_db as given.  A non-default value would be
+        # silently ignored, so it is refused.
+        for key, default in (("alpha_weather_db_km", 0.0), ("rho", 1.0)):
+            if getattr(self, key) != default:
+                raise ConfigError("atmosphere", key,
+                                  f"the FSO SNR does not use it; leave it at {default:g}")
 
 
 @dataclass(frozen=True)
@@ -404,10 +412,22 @@ def build_product(cfg: ScenarioConfig) -> CompositeProduct:
     return CompositeProduct(tuple(gg), tuple(pe))
 
 
+def _db_to_linear(value_db, field):
+    """10^(value_db / 10), or DomainError naming `field` when that is not a
+    positive finite double."""
+    try:
+        linear = 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise DomainError(f"{field} = {value_db:g} dB has no positive finite linear value")
+    return linear
+
+
 def _gamma_ratio(cfg: ScenarioConfig):
     trx = cfg.transceiver
     if trx.snr_ratio_db is not None:
-        return 10.0 ** (trx.snr_ratio_db / 10.0)
+        return _db_to_linear(trx.snr_ratio_db, "snr_ratio_db")
     if trx.power_dbw is None or trx.bandwidth is None:
         raise ConfigError("transceiver", "snr_ratio_db",
                           "give snr_ratio_db or a power/bandwidth budget")
@@ -419,15 +439,16 @@ def _gamma_ratio(cfg: ScenarioConfig):
         frequency=cfg.atmosphere.frequency,
         distances=tuple(l.distance for l in cfg.links),
         aperture_radii=tuple(l.aperture or 0.0 for l in cfg.links),
-        gain_tx=10.0 ** (trx.gain_tx_dbi / 10.0),
-        gain_rx=10.0 ** (trx.gain_rx_dbi / 10.0),
+        gain_tx=_db_to_linear(trx.gain_tx_dbi, "gain_tx_dbi"),
+        gain_rx=_db_to_linear(trx.gain_rx_dbi, "gain_rx_dbi"),
         ris_reflection=(trx.ris_reflection,) * max(len(cfg.links) - 1, 0),
         kappa_t=trx.kappa_t,
         kappa_r=trx.kappa_r,
     )
-    power = 10.0 ** (trx.power_dbw / 10.0)
-    noise = BOLTZMANN * atm.temperature * trx.bandwidth * 10.0 ** (trx.noise_figure_db / 10.0)
-    g_th = 10.0 ** (trx.gamma_th_db / 10.0)
+    power = _db_to_linear(trx.power_dbw, "power_dbw")
+    noise = (BOLTZMANN * atm.temperature * trx.bandwidth
+             * _db_to_linear(trx.noise_figure_db, "noise_figure_db"))
+    g_th = _db_to_linear(trx.gamma_th_db, "gamma_th_db")
     return gamma_s(budget, power, noise, atm) / g_th
 
 
@@ -441,39 +462,37 @@ def _thz_atmosphere(cfg: ScenarioConfig):
     )
 
 
-def _evaluate_point(cfg: ScenarioConfig, mode, seed, samples):
+def _mc_cascade(ch, ratio, n, seed):
+    return mc_cdf(ch, [math.sqrt(1.0 / r) for r in ratio], n, seed)
+
+
+def _operators(scenario):
+    """The analytic outage operator of a scenario and its Monte Carlo
+    counterpart.  Both take a point's law arguments followed by its
+    threshold arguments; the Monte Carlo one takes each threshold argument
+    as a sequence over a group of points that share the law.  The names are
+    looked up per call, not bound at import, so that wrappers installed on
+    this module's names (tracing, test doubles) apply."""
+    if scenario == "fso_cascade":
+        return op_fso_cascade, _mc_cascade
+    if scenario == "fso_parallel":
+        return op_fso_parallel_bound, mc_op_parallel
+    return op_thz, mc_op_thz
+
+
+def _resolve_point(cfg: ScenarioConfig):
+    """(law, thresholds) of one sweep point: the arguments its outage
+    operators take before and after the per-point threshold.  Points with
+    equal laws share their Monte Carlo draws."""
     ch = build_product(cfg)
     ratio = _gamma_ratio(cfg)
     trx = cfg.transceiver
-    row = {"op_analytic": "", "op_mc": "", "mc_stderr": "",
-           "method": "", "accuracy_flag": ""}
     if cfg.scenario == "fso_cascade":
-        if mode in ("analytic", "both"):
-            res = op_fso_cascade(ch, ratio)
-            row.update(op_analytic=res.probability, method=res.method,
-                       accuracy_flag=res.accuracy_flag)
-        if mode in ("mc", "both"):
-            est = mc_cdf(ch, math.sqrt(1.0 / ratio), samples, seed)
-            row.update(op_mc=est.value, mc_stderr=est.std_error)
-    elif cfg.scenario == "fso_parallel":
-        if mode in ("analytic", "both"):
-            res = op_fso_parallel_bound(ch, trx.branches, ratio)
-            row.update(op_analytic=res.probability, method=res.method,
-                       accuracy_flag=res.accuracy_flag)
-        if mode in ("mc", "both"):
-            est = mc_op_parallel(ch, trx.branches, ratio, samples, seed)
-            row.update(op_mc=est.value, mc_stderr=est.std_error)
-    else:
-        g_th = 10.0 ** (trx.gamma_th_db / 10.0)
-        if mode in ("analytic", "both"):
-            res = op_thz(ch, ratio, g_th, trx.kappa_t, trx.kappa_r)
-            row.update(op_analytic=res.probability, method=res.method,
-                       accuracy_flag=res.accuracy_flag)
-        if mode in ("mc", "both"):
-            est = mc_op_thz(ch, ratio, g_th, trx.kappa_t, trx.kappa_r,
-                            samples, seed)
-            row.update(op_mc=est.value, mc_stderr=est.std_error)
-    return row
+        return (ch,), (ratio,)
+    if cfg.scenario == "fso_parallel":
+        return (ch, trx.branches), (ratio,)
+    g_th = _db_to_linear(trx.gamma_th_db, "gamma_th_db")
+    return (ch,), (ratio, g_th, trx.kappa_t, trx.kappa_r)
 
 
 def _csv_cell(v):
@@ -488,32 +507,55 @@ def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
     """Run the configured sweep; returns (csv_text, flagged_points).
 
     Points whose evaluation refuses are flagged; a point outside the domain
-    of the channel physics raises ConfigError naming its sweep value.
+    of the channel physics raises ConfigError naming its sweep value.  In
+    Monte Carlo mode the points that share a channel law are tallied on one
+    set of draws; each point's estimate equals that of a call for the point
+    alone with the same seed.
     """
     grid = cfg.sweep.grid()
-    workers = int(os.environ.get("CASCADE_FADING_THREADS", "0")) or None
 
-    def one(value):
+    def domain_error(value, exc):
+        return ConfigError("sweep", cfg.sweep.variable, f"sweep_value={value:g}: {exc}")
+
+    points = []
+    for value in grid:
         try:
-            return _evaluate_point(_apply_sweep(cfg, value), mode, seed, samples)
-        except AccuracyError as exc:
-            return {"op_analytic": "", "op_mc": "", "mc_stderr": "",
-                    "method": "", "accuracy_flag": "failed", "_error": str(exc)}
+            points.append(_resolve_point(_apply_sweep(cfg, value)))
         except DomainError as exc:
-            raise ConfigError("sweep", cfg.sweep.variable,
-                              f"sweep_value={value:g}: {exc}") from exc
+            raise domain_error(value, exc) from exc
 
-    if workers is not None and workers > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(v) for v in grid]
+    analytic_op, mc_op = _operators(cfg.scenario)
+    rows = [{"op_analytic": "", "op_mc": "", "mc_stderr": "",
+             "method": "", "accuracy_flag": ""} for _ in grid]
+    flagged = []
+    if mode in ("analytic", "both"):
+        for value, (law, thresholds), row in zip(grid, points, rows):
+            try:
+                res = analytic_op(*law, *thresholds)
+            except AccuracyError as exc:
+                row["accuracy_flag"] = "failed"
+                flagged.append((value, str(exc)))
+                continue
+            except DomainError as exc:
+                raise domain_error(value, exc) from exc
+            row.update(op_analytic=res.probability, method=res.method,
+                       accuracy_flag=res.accuracy_flag)
+    if mode in ("mc", "both"):
+        groups = {}
+        for i, (law, _) in enumerate(points):
+            if rows[i]["accuracy_flag"] != "failed":
+                groups.setdefault(law, []).append(i)
+        for law, members in groups.items():
+            columns = zip(*(points[i][1] for i in members))
+            try:
+                estimates = mc_op(*law, *columns, samples, seed)
+            except DomainError as exc:
+                raise domain_error(grid[members[0]], exc) from exc
+            for i, est in zip(members, estimates):
+                rows[i].update(op_mc=est.value, mc_stderr=est.std_error)
 
     lines = [CSV_HEADER]
-    flagged = []
     for value, row in zip(grid, rows):
-        if row.get("_error"):
-            flagged.append((value, row["_error"]))
         lines.append(",".join([
             _csv_cell(float(value)),
             _csv_cell(row["op_analytic"]),

@@ -388,12 +388,18 @@ def z_cdf_asymptotic(ch: CompositeProduct, x):
     pos = z > 0
     zp = z[pos]
     acc = np.zeros_like(zp)
-    for term in expansion.terms:
-        coeff = term.coefficient
-        for p in big:
-            coeff *= p.a_o ** -term.exponent * p.xi / (p.xi - term.exponent)
-        acc += coeff * np.power(zp, term.exponent)
-    out[pos] = acc * rest.prefactor
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in expansion.terms:
+            coeff = term.coefficient
+            for p in big:
+                coeff *= np.power(p.a_o, -term.exponent) * p.xi / (p.xi - term.exponent)
+            acc += coeff * np.power(zp, term.exponent)
+        out[pos] = acc * rest.prefactor
+    if rest.prefactor == 0.0 or not np.all(np.isfinite(out)):
+        raise AccuracyError(
+            "power-law CDF limit is out of double range here (residue "
+            "coefficients overflow or the prefactor underflows); use z_cdf"
+        )
     return float(out[0]) if scalar else out
 
 

@@ -55,16 +55,52 @@ def _estimate(hits, n, seed, streams):
     return McEstimate(p, math.sqrt(p * (1.0 - p) / n), n, seed, streams)
 
 
-def mc_cdf(ch: CompositeProduct, x, n, seed):
-    """Empirical CDF of Z at x from n independent draws."""
+def _points(*args):
+    """Per-point argument tuples, and whether every argument was a scalar.
+
+    Scalars pass through unchanged; otherwise the arguments broadcast to one
+    1-D sequence of points, as Python floats.
+    """
+    if all(np.ndim(a) == 0 for a in args):
+        return [args], True
+    try:
+        cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    except ValueError as exc:
+        raise DomainError(f"threshold arguments do not broadcast: {exc}") from None
+    if cols[0].ndim != 1:
+        raise DomainError("threshold arguments must be scalars or 1-D sequences")
+    return list(zip(*(c.tolist() for c in cols))), False
+
+
+def _tally(n, seed, draw, hit, points):
+    """One estimate per point from a single set of n draws.
+
+    Chunk k draws from _substream(seed, k); `draw(rng, size)` turns it into
+    the statistic the points test, and `hit(stat, *point)` marks the outage
+    draws of one point.  A point's tally depends only on (seed, n) and the
+    point, so a group of points gives each the estimate it gets alone.
+    """
     if n < 1:
         raise DomainError("need n >= 1 samples")
-    hits = 0
+    hits = [0] * len(points)
     sizes = _chunks(n)
     for k, size in enumerate(sizes):
-        rng = _substream(seed, k)
-        hits += int(np.count_nonzero(sample_z(ch, rng, size) <= x))
-    return _estimate(hits, n, seed, len(sizes))
+        stat = draw(_substream(seed, k), size)
+        for i, point in enumerate(points):
+            hits[i] += int(np.count_nonzero(hit(stat, *point)))
+    return [_estimate(h, n, seed, len(sizes)) for h in hits]
+
+
+def mc_cdf(ch: CompositeProduct, x, n, seed):
+    """Empirical CDF of Z at x from n independent draws.
+
+    x is a scalar or a 1-D sequence; a sequence gives one estimate per
+    element, all counted on the same draws.
+    """
+    points, scalar = _points(x)
+    est = _tally(n, seed, lambda rng, size: sample_z(ch, rng, size),
+                 lambda z, t: z <= t, points)
+    return est[0] if scalar else est
 
 
 def mc_op_parallel(branch: CompositeProduct, n_branches, snr_ratio, n, seed):
@@ -72,23 +108,27 @@ def mc_op_parallel(branch: CompositeProduct, n_branches, snr_ratio, n, seed):
 
     Per draw, the branch coefficients B_i are sampled from the common branch
     law and the outage event is S = mean(B_i) <= sqrt(rho_th / (N rho_s)).
+    snr_ratio is a scalar or a 1-D sequence (one estimate per element).
     """
-    if n < 1:
-        raise DomainError("need n >= 1 samples")
     if n_branches < 1:
         raise DomainError("need at least one branch")
-    if snr_ratio <= 0:
+    ratios, scalar = _points(snr_ratio)
+    if any(r <= 0 for (r,) in ratios):
         raise DomainError("snr_ratio must be positive")
-    t = math.sqrt(1.0 / (n_branches * snr_ratio))
-    hits = 0
-    sizes = _chunks(n)
-    for k, size in enumerate(sizes):
-        rng = _substream(seed, k)
+
+    def draw(rng, size):
         s = np.zeros(size)
         for _ in range(n_branches):
             s += sample_z(branch, rng, size)
-        hits += int(np.count_nonzero(s / n_branches <= t))
-    return _estimate(hits, n, seed, len(sizes))
+        return s / n_branches
+
+    points = [(math.sqrt(1.0 / (n_branches * r)),) for (r,) in ratios]
+    est = _tally(n, seed, draw, lambda mean, t: mean <= t, points)
+    return est[0] if scalar else est
+
+
+def _sdnr_outage(z2, g_s, k2, gamma_th):
+    return z2 * g_s / (z2 * g_s * k2 + 1.0) <= gamma_th
 
 
 def mc_op_thz(ch: CompositeProduct, gamma_ratio, gamma_th, kappa_t, kappa_r, n, seed):
@@ -97,22 +137,17 @@ def mc_op_thz(ch: CompositeProduct, gamma_ratio, gamma_th, kappa_t, kappa_r, n, 
     gamma = Z^2 gamma_s / (Z^2 gamma_s (kappa_t^2 + kappa_r^2) + 1) with
     gamma_s = gamma_ratio * gamma_th; outage when gamma <= gamma_th.  In the
     ceiling regime the SDNR saturates below the threshold for every draw, so
-    the estimate is exactly 1 without special-casing.
+    the estimate is exactly 1 without special-casing.  The four link
+    arguments are scalars or broadcast to a 1-D sequence of points (one
+    estimate per point).
     """
-    if n < 1:
-        raise DomainError("need n >= 1 samples")
-    if gamma_ratio <= 0 or gamma_th <= 0:
+    args, scalar = _points(gamma_ratio, gamma_th, kappa_t, kappa_r)
+    if any(r <= 0 or g <= 0 for r, g, _, _ in args):
         raise DomainError("gamma_ratio and gamma_th must be positive")
-    g_s = gamma_ratio * gamma_th
-    k2 = kappa_t * kappa_t + kappa_r * kappa_r
-    hits = 0
-    sizes = _chunks(n)
-    for k, size in enumerate(sizes):
-        rng = _substream(seed, k)
-        z2 = sample_z(ch, rng, size) ** 2
-        sdnr = z2 * g_s / (z2 * g_s * k2 + 1.0)
-        hits += int(np.count_nonzero(sdnr <= gamma_th))
-    return _estimate(hits, n, seed, len(sizes))
+    points = [(r * g, kt * kt + kr * kr, g) for r, g, kt, kr in args]
+    est = _tally(n, seed, lambda rng, size: sample_z(ch, rng, size) ** 2,
+                 _sdnr_outage, points)
+    return est[0] if scalar else est
 
 
 def ks_statistic(ch: CompositeProduct, samples, grid_points=4096):

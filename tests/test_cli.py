@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cascade_fading import performance
+from cascade_fading import mc, performance
 from cascade_fading.cli import (
     CSV_HEADER,
     ConfigError,
@@ -23,7 +23,7 @@ from cascade_fading.cli import (
     run,
     write_config,
 )
-from cascade_fading.mc import mc_op_parallel
+from cascade_fading.mc import mc_cdf, mc_op_parallel, mc_op_thz
 from cascade_fading.specfun import AccuracyError
 
 MINIMAL = """
@@ -48,6 +48,44 @@ turbulence = weak
 alpha = 4.942
 beta = 1.231
 """
+
+
+def _per_point_csv(cfg, mode, seed, samples):
+    """The CSV of an snr_db sweep over a fixed channel, built from one
+    outage operator call per point."""
+    ch = build_product(cfg)
+    trx = cfg.transceiver
+    g_th = 10.0 ** (trx.gamma_th_db / 10.0)
+    lines = [CSV_HEADER]
+    for v in cfg.sweep.grid():
+        r = 10.0 ** (v / 10.0)
+        if cfg.scenario == "fso_cascade":
+            res = performance.op_fso_cascade(ch, r)
+            est = mc_cdf(ch, math.sqrt(1.0 / r), samples, seed)
+        elif cfg.scenario == "fso_parallel":
+            res = performance.op_fso_parallel_bound(ch, trx.branches, r)
+            est = mc_op_parallel(ch, trx.branches, r, samples, seed)
+        else:
+            res = performance.op_thz(ch, r, g_th, trx.kappa_t, trx.kappa_r)
+            est = mc_op_thz(ch, r, g_th, trx.kappa_t, trx.kappa_r, samples, seed)
+        cells = [v, "", est.value, est.std_error, "", ""]
+        if mode == "both":
+            cells[1], cells[4], cells[5] = res.probability, res.method, res.accuracy_flag
+        lines.append(",".join(format(c, ".12g") if isinstance(c, float) else c
+                              for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def _count_draws(monkeypatch):
+    calls = []
+    draw = mc.sample_z
+
+    def sample_z(ch, rng, count):
+        calls.append(count)
+        return draw(ch, rng, count)
+
+    monkeypatch.setattr(mc, "sample_z", sample_z)
+    return calls
 
 
 def _low_snr_fig7_weak():
@@ -156,12 +194,44 @@ class TestRun:
     def test_thread_cap_reproducible(self):
         cfg = parse_config_text(MINIMAL)
         serial, _ = run(cfg, mode="analytic")
+        serial_mc, _ = run(cfg, mode="mc", samples=20000)
         os.environ["CASCADE_FADING_THREADS"] = "4"
         try:
             parallel, _ = run(cfg, mode="analytic")
+            parallel_mc, _ = run(cfg, mode="mc", samples=20000)
         finally:
             del os.environ["CASCADE_FADING_THREADS"]
         assert serial == parallel
+        assert serial_mc == parallel_mc
+
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    @pytest.mark.parametrize("name", ["fig4_weak_n3", "fig7_weak", "fig13_worst"])
+    def test_shared_channel_drawn_once(self, name, mode, monkeypatch):
+        # every point of these sweeps has the same channel: one set of
+        # draws serves them all, and each point's tally is the one a call
+        # for that point alone gives
+        cfg = parse_config(recipe_path(name))
+        expected = _per_point_csv(cfg, mode, 5, 20000)
+        calls = _count_draws(monkeypatch)
+        text, flagged = run(cfg, mode=mode, seed=5, samples=20000)
+        assert not flagged
+        assert text == expected
+        assert calls == [20000] * cfg.transceiver.branches
+
+    def test_changing_channel_tallied_per_point(self, monkeypatch):
+        cfg = _fig_recipes()["fig5"]
+        r = 10.0 ** (cfg.transceiver.snr_ratio_db / 10.0)
+        expected = []
+        for v in cfg.sweep.grid():
+            links = (replace(cfg.links[0], jitter=v),) + cfg.links[1:]
+            ch = build_product(replace(cfg, links=links))
+            est = mc_cdf(ch, math.sqrt(1.0 / r), 20000, 7)
+            expected.append((format(est.value, ".12g"), format(est.std_error, ".12g")))
+        calls = _count_draws(monkeypatch)
+        text, _ = run(cfg, mode="mc", seed=7, samples=20000)
+        rows = [tuple(r.split(",")[2:4]) for r in text.strip().split("\n")[1:]]
+        assert rows == expected
+        assert len(calls) == cfg.sweep.points
 
     def test_accuracy_failure_flagged(self, monkeypatch):
         cfg = _refusing_at_first_point(monkeypatch)
@@ -236,6 +306,24 @@ class TestMainExitCodes:
         path.write_text(write_config(_refusing_at_first_point(monkeypatch)))
         assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 3
         assert "accuracy failure at sweep_value=10" in capsys.readouterr().err
+
+    def test_db_overflow_at_sweep_point_exits_2(self, tmp_path, capsys):
+        # 10^(3204/10) overflows a double; 3204 dB is the first such point
+        cfg = parse_config(recipe_path("fig3_weak_weak"))
+        path = tmp_path / "huge_snr.cfg"
+        path.write_text(write_config(replace(cfg, sweep=replace(cfg.sweep, stop=4000.0))))
+        assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "sweep_value=3204" in err and "snr_ratio_db" in err
+
+    @pytest.mark.parametrize("key,used,default", [
+        ("rho", 0.7, 1.0), ("alpha_weather_db_km", 0.43, 0.0)])
+    def test_unused_atmosphere_field_exits_2(self, key, used, default, tmp_path, capsys):
+        path = tmp_path / "weather.cfg"
+        path.write_text(f"{MINIMAL}\n[atmosphere]\n{key} = {used}\n")
+        assert main(["run", str(path)]) == 2
+        assert f"[atmosphere] {key}" in capsys.readouterr().err
+        parse_config_text(f"{MINIMAL}\n[atmosphere]\n{key} = {default}\n")
 
     def test_domain_error_at_sweep_point_exits_2(self, tmp_path, capsys):
         cfg = _fig_recipes()["fig5"]

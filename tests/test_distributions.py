@@ -338,6 +338,22 @@ class TestAsymptote:
         with pytest.raises(DegenerateParametersError):
             z_cdf_asymptotic(CompositeProduct((WEAK, WEAK)), 1e-3)
 
+    @pytest.mark.parametrize("x,exact", [(0.05, 6.7e-15), (0.1, 1.0e-9), (0.2, 1.2e-5)])
+    def test_out_of_double_range_refuses(self, x, exact):
+        # the residue coefficients overflow and the prefactor underflows to
+        # 0.0, so the sum came out as nan without a refusal
+        ch = CompositeProduct((GammaGammaParams(60.1, 40.3), GammaGammaParams(61.7, 40.9),
+                               GammaGammaParams(62.35, 41.45)))
+        with pytest.raises(AccuracyError):
+            z_cdf_asymptotic(ch, x)
+        assert z_cdf(ch, x) == pytest.approx(exact, rel=0.05)
+
+    def test_pointing_moment_overflow_refuses(self):
+        # A_o^(-b_i) of a xi >= 64 factor overflows a double
+        ch = CompositeProduct((GammaGammaParams(3.3, 1.7),), (PointingErrorParams(200.1, 1e-200),))
+        with pytest.raises(AccuracyError):
+            z_cdf_asymptotic(ch, 1e-3)
+
 
 class TestSampling:
     def test_count_validation(self):

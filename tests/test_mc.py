@@ -104,6 +104,46 @@ class TestMcThz:
         assert est.within(ana)
 
 
+class TestThresholdSequences:
+    """A sequence of thresholds is tallied on one set of draws; each estimate
+    equals the scalar call's bit for bit."""
+
+    N = (1 << 19) + 3000  # two chunks
+
+    def test_cdf(self):
+        xs = [0.05, 0.3, 0.9, 2.5]
+        got = mc_cdf(MIXED_21, np.array(xs), self.N, 13)
+        assert got == [mc_cdf(MIXED_21, x, self.N, 13) for x in xs]
+        assert got[0].streams == 2
+
+    def test_parallel(self):
+        ratios = [db(v) for v in (20.0, 26.0, 32.0)]
+        got = mc_op_parallel(BRANCH, 2, ratios, self.N, 19)
+        assert got == [mc_op_parallel(BRANCH, 2, r, self.N, 19) for r in ratios]
+
+    def test_thz_with_ceiling_point(self):
+        # gamma_th (kappa_t^2 + kappa_r^2) = 10 * 0.32 >= 1 at the last point
+        ch = TestMcThz.CH
+        ratios = [db(10.0), db(20.0), db(30.0)]
+        g_th, kt, kr = [2.0, 2.0, 10.0], [0.25, 0.0, 0.4], [0.15, 0.0, 0.4]
+        got = mc_op_thz(ch, ratios, g_th, kt, kr, self.N, 29)
+        assert got == [mc_op_thz(ch, *point, self.N, 29)
+                       for point in zip(ratios, g_th, kt, kr)]
+        assert got[-1].value == 1.0
+
+    def test_scalars_broadcast(self):
+        ratios = [db(15.0), db(25.0)]
+        got = mc_op_thz(TestMcThz.CH, ratios, 2.0, 0.25, 0.15, 10**4, 3)
+        assert got == [mc_op_thz(TestMcThz.CH, r, 2.0, 0.25, 0.15, 10**4, 3)
+                       for r in ratios]
+
+    def test_shape_errors(self):
+        with pytest.raises(DomainError):
+            mc_op_thz(TestMcThz.CH, [1.0, 2.0], [2.0, 3.0, 4.0], 0.0, 0.0, 100, 1)
+        with pytest.raises(DomainError):
+            mc_cdf(MIXED_21, [[0.1, 0.2]], 100, 1)
+
+
 class TestKs:
     def test_needs_samples(self):
         with pytest.raises(DomainError):

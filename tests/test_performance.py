@@ -20,7 +20,7 @@ from cascade_fading.performance import (
     op_fso_parallel_bound,
     op_thz,
 )
-from cascade_fading.specfun import DomainError
+from cascade_fading.specfun import AccuracyError, DomainError
 
 WEAK = GammaGammaParams(10.02, 2.98)
 STRONG = GammaGammaParams(4.942, 1.231)
@@ -93,6 +93,12 @@ class TestAsymptote:
         p_hi = op_fso_cascade_asymptotic(WS, hi).probability
         slope = (math.log10(p_hi) - math.log10(p_lo))
         assert slope == pytest.approx(-min(WS.b_tuple) / 2.0, rel=1e-3)
+
+    def test_out_of_double_range_refuses(self):
+        ch = CompositeProduct((GammaGammaParams(60.1, 40.3), GammaGammaParams(61.7, 40.9),
+                               GammaGammaParams(62.35, 41.45)))
+        with pytest.raises(AccuracyError):
+            op_fso_cascade_asymptotic(ch, 1.0 / 0.1**2)
 
 
 class TestDiversityOrder:
