@@ -232,8 +232,8 @@ def molecular_absorption(frequency, atm: ThzAtmosphere):
     of the polynomial fit below ~120 GHz are clamped to zero.  Outside the
     100-500 GHz validity band a warning is emitted.
     """
-    if frequency <= 0:
-        raise DomainError("frequency must be positive")
+    if not 0 < frequency < math.inf:
+        raise DomainError(f"frequency must be positive and finite, got {frequency!r}")
     if not 100e9 <= frequency <= 500e9:
         warnings.warn(
             f"kappa(f) evaluated outside its 100-500 GHz validity band "

@@ -52,7 +52,7 @@ from .performance import (
     op_fso_parallel_bound,
     op_thz,
 )
-from .mc import mc_cdf, mc_op_parallel, mc_op_thz
+from .mc import check_samples, check_seed, mc_cdf, mc_op_parallel, mc_op_thz
 from .specfun import AccuracyError, DomainError
 
 __all__ = [
@@ -510,8 +510,16 @@ def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
     of the channel physics raises ConfigError naming its sweep value.  In
     Monte Carlo mode the points that share a channel law are tallied on one
     set of draws; each point's estimate equals that of a call for the point
-    alone with the same seed.
+    alone with the same seed.  A seed or sample count that Monte Carlo
+    cannot use raises ConfigError naming its flag before any point runs.
     """
+    if mode in ("mc", "both"):
+        for flag, check, value in (("--seed", check_seed, seed),
+                                   ("--samples", check_samples, samples)):
+            try:
+                check(value)
+            except DomainError as exc:
+                raise ConfigError("-", flag, str(exc)) from None
     grid = cfg.sweep.grid()
 
     def domain_error(value, exc):
@@ -578,14 +586,22 @@ def evaluate(cfg: ScenarioConfig, quantity, at=None):
     if at is None:
         raise ConfigError("-", "--at", f"quantity {quantity!r} needs --at")
     if quantity == "kappa":
-        return molecular_absorption(at, _thz_atmosphere(cfg)), "clean"
-    ch = build_product(cfg)
-    flag = "perturbed" if ch.is_degenerate else "clean"
-    if quantity == "cdf":
-        return (0.0 if at <= 0 else z_cdf(ch, at)), flag
-    if quantity == "pdf":
-        return z_pdf(ch, at), flag
-    raise ConfigError("-", "--quantity", f"unknown quantity {quantity!r}")
+        atm, flag = _thz_atmosphere(cfg), "clean"
+    elif quantity in ("cdf", "pdf"):
+        ch = build_product(cfg)
+        flag = "perturbed" if ch.is_degenerate else "clean"
+    else:
+        raise ConfigError("-", "--quantity", f"unknown quantity {quantity!r}")
+    try:
+        if quantity == "kappa":
+            value = molecular_absorption(at, atm)
+        elif quantity == "cdf":
+            value = 0.0 if at <= 0 else z_cdf(ch, at)
+        else:
+            value = z_pdf(ch, at)
+    except DomainError as exc:
+        raise ConfigError("-", "--at", str(exc)) from exc
+    return value, flag
 
 
 # ----------------------------------------------------------------------

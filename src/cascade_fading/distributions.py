@@ -74,6 +74,11 @@ _SADDLE_ITERS = 100
 # xi ~ 170, and their own x^xi terms are negligible against x^b_min.
 _ASYMPTOTIC_XI = 64.0
 
+# sample_z draws each factor through a buffer of this many variates, so a
+# draw of n values holds one n-array and one block, not a temporary per
+# factor.
+_SAMPLE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class GammaGammaParams:
@@ -478,14 +483,31 @@ def sample_z(ch: CompositeProduct, rng: np.random.Generator, count: int):
     Each Gamma-Gamma factor is the product of two independent gamma variates
     with shapes (alpha, beta) and scales (1/alpha, Omega/beta); each
     misalignment factor is A_o * U^(1/xi) by CDF inversion.  Deterministic
-    for a given generator state.
+    for a given generator state.  A factor's variates are drawn in blocks of
+    _SAMPLE_BLOCK into one buffer and multiplied into the result in place;
+    this consumes the generator, and gives the same values, as drawing the
+    factor's `count` variates at once.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     z = np.ones(count)
+    buf = np.empty(min(count, _SAMPLE_BLOCK))
+
+    def blocks():
+        for lo in range(0, count, _SAMPLE_BLOCK):
+            b = buf[:min(count - lo, _SAMPLE_BLOCK)]
+            yield b, z[lo:lo + b.size]
+
     for g in ch.gg_links:
-        z *= rng.gamma(g.alpha, 1.0 / g.alpha, count)
-        z *= rng.gamma(g.beta, g.omega / g.beta, count)
+        for shape, scale in ((g.alpha, 1.0 / g.alpha), (g.beta, g.omega / g.beta)):
+            for b, zb in blocks():
+                rng.standard_gamma(shape, out=b)
+                b *= scale
+                zb *= b
     for p in ch.pe_links:
-        z *= p.a_o * rng.random(count) ** (1.0 / p.xi)
+        for b, zb in blocks():
+            rng.random(out=b)
+            b **= 1.0 / p.xi  # `**`, as in u ** (1/xi): the same fast paths (0.5, 2)
+            b *= p.a_o
+            zb *= b
     return z

@@ -3,12 +3,17 @@
 Sampling runs over counter-based Philox substreams: chunk k of a run seeded
 with `seed` draws from Philox(key=seed, counter=k << 128), so results are
 bit-reproducible for a given (seed, n) regardless of how chunks are
-scheduled, and chunk tallies aggregate order-independently.
+scheduled, and chunk tallies aggregate order-independently.  The chunks of
+one call are drawn on up to one thread per usable CPU: numpy's samplers
+release the interpreter lock, and the integer tallies sum exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +25,9 @@ from .specfun import DomainError
 __all__ = ["McEstimate", "mc_cdf", "mc_op_parallel", "mc_op_thz", "ks_statistic"]
 
 _CHUNK = 1 << 19
+# hit predicates run on slices of this many draws, so their temporaries
+# stay small next to the chunk
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -37,13 +45,44 @@ class McEstimate:
         return abs(self.value - reference) <= n_sigma * max(self.std_error, 1e-300)
 
 
+def _integer(value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def check_samples(n):
+    """n as an int, or DomainError unless it is an integer >= 1."""
+    count = _integer(n)
+    if count is None or count < 1:
+        raise DomainError(f"need an integer n >= 1 samples, got {n!r}")
+    return count
+
+
+def check_seed(seed):
+    """seed as an int, or DomainError unless it is an integer Philox key in
+    [0, 2^128)."""
+    key = _integer(seed)
+    if key is None or not 0 <= key < 1 << 128:
+        raise DomainError(f"seed must be an integer in [0, 2^128), got {seed!r}")
+    return key
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _substream(seed, chunk_index):
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
 
 
 def _chunks(n):
     sizes = []
-    left = int(n)
+    left = n
     while left > 0:
         sizes.append(min(_CHUNK, left))
         left -= sizes[-1]
@@ -59,17 +98,22 @@ def _points(*args):
     """Per-point argument tuples, and whether every argument was a scalar.
 
     Scalars pass through unchanged; otherwise the arguments broadcast to one
-    1-D sequence of points, as Python floats.
+    1-D sequence of points, as Python floats.  A NaN argument raises
+    DomainError: it would silently count no hits.
     """
     if all(np.ndim(a) == 0 for a in args):
-        return [args], True
-    try:
-        cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    except ValueError as exc:
-        raise DomainError(f"threshold arguments do not broadcast: {exc}") from None
-    if cols[0].ndim != 1:
-        raise DomainError("threshold arguments must be scalars or 1-D sequences")
-    return list(zip(*(c.tolist() for c in cols))), False
+        points, scalar = [args], True
+    else:
+        try:
+            cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+        except ValueError as exc:
+            raise DomainError(f"threshold arguments do not broadcast: {exc}") from None
+        if cols[0].ndim != 1:
+            raise DomainError("threshold arguments must be scalars or 1-D sequences")
+        points, scalar = list(zip(*(c.tolist() for c in cols))), False
+    if any(math.isnan(a) for point in points for a in point):
+        raise DomainError("threshold arguments must not be NaN")
+    return points, scalar
 
 
 def _tally(n, seed, draw, hit, points):
@@ -77,17 +121,26 @@ def _tally(n, seed, draw, hit, points):
 
     Chunk k draws from _substream(seed, k); `draw(rng, size)` turns it into
     the statistic the points test, and `hit(stat, *point)` marks the outage
-    draws of one point.  A point's tally depends only on (seed, n) and the
-    point, so a group of points gives each the estimate it gets alone.
+    draws of one point.  The chunks run on up to one thread per usable CPU
+    and their integer hit counts are summed, so a point's tally depends only
+    on (seed, n) and the point: a group of points gives each the estimate it
+    gets alone, in any schedule.
     """
-    if n < 1:
-        raise DomainError("need n >= 1 samples")
-    hits = [0] * len(points)
+    n = check_samples(n)
+    seed = check_seed(seed)
     sizes = _chunks(n)
-    for k, size in enumerate(sizes):
-        stat = draw(_substream(seed, k), size)
-        for i, point in enumerate(points):
-            hits[i] += int(np.count_nonzero(hit(stat, *point)))
+
+    def chunk(k):
+        stat = draw(_substream(seed, k), sizes[k])
+        counts = [0] * len(points)
+        for lo in range(0, sizes[k], _BLOCK):
+            block = stat[lo:lo + _BLOCK]
+            for i, point in enumerate(points):
+                counts[i] += int(np.count_nonzero(hit(block, *point)))
+        return counts
+
+    with ThreadPoolExecutor(min(len(sizes), _usable_cpus())) as pool:
+        hits = [sum(c) for c in zip(*pool.map(chunk, range(len(sizes))))]
     return [_estimate(h, n, seed, len(sizes)) for h in hits]
 
 
@@ -120,7 +173,8 @@ def mc_op_parallel(branch: CompositeProduct, n_branches, snr_ratio, n, seed):
         s = np.zeros(size)
         for _ in range(n_branches):
             s += sample_z(branch, rng, size)
-        return s / n_branches
+        s /= n_branches
+        return s
 
     points = [(math.sqrt(1.0 / (n_branches * r)),) for (r,) in ratios]
     est = _tally(n, seed, draw, lambda mean, t: mean <= t, points)
@@ -144,9 +198,16 @@ def mc_op_thz(ch: CompositeProduct, gamma_ratio, gamma_th, kappa_t, kappa_r, n, 
     args, scalar = _points(gamma_ratio, gamma_th, kappa_t, kappa_r)
     if any(r <= 0 or g <= 0 for r, g, _, _ in args):
         raise DomainError("gamma_ratio and gamma_th must be positive")
+    if any(kt < 0 or kr < 0 for _, _, kt, kr in args):
+        raise DomainError("error vector magnitudes are non-negative")
     points = [(r * g, kt * kt + kr * kr, g) for r, g, kt, kr in args]
-    est = _tally(n, seed, lambda rng, size: sample_z(ch, rng, size) ** 2,
-                 _sdnr_outage, points)
+
+    def draw(rng, size):
+        z = sample_z(ch, rng, size)
+        z **= 2
+        return z
+
+    est = _tally(n, seed, draw, _sdnr_outage, points)
     return est[0] if scalar else est
 
 

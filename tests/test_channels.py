@@ -173,6 +173,11 @@ class TestMolecularAbsorption:
         with pytest.warns(RuntimeWarning):
             molecular_absorption(50e9, atm)
 
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan, math.inf])
+    def test_domain(self, frequency):
+        with pytest.raises(DomainError):
+            molecular_absorption(frequency, ThzAtmosphere())
+
 
 class TestThzGain:
     def _budget(self, **kw):

@@ -325,6 +325,27 @@ class TestMainExitCodes:
         assert f"[atmosphere] {key}" in capsys.readouterr().err
         parse_config_text(f"{MINIMAL}\n[atmosphere]\n{key} = {default}\n")
 
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"), ("--seed", str(1 << 128)), ("--samples", "0")])
+    def test_unusable_mc_flag_exits_2(self, flag, value, mode, tmp_path, capsys):
+        # the flag is named, not the first sweep point, and no point runs
+        out = tmp_path / "o.csv"
+        assert main(["run", recipe_path("fig4_weak_n3"), "--mode", mode,
+                     flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}:" in err and "sweep_value" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("recipe,quantity,at", [
+        ("fig3_weak_weak", "pdf", "-1"), ("fig3_weak_weak", "pdf", "nan"),
+        ("fig3_weak_weak", "cdf", "nan"), ("fig9", "kappa", "-1"),
+        ("fig9", "kappa", "nan"), ("fig9", "kappa", "inf")])
+    def test_eval_outside_domain_exits_2(self, recipe, quantity, at, capsys):
+        assert main(["eval", recipe_path(recipe), "--quantity", quantity,
+                     "--at", at]) == 2
+        assert "config error: [-] --at:" in capsys.readouterr().err
+
     def test_domain_error_at_sweep_point_exits_2(self, tmp_path, capsys):
         cfg = _fig_recipes()["fig5"]
         path = tmp_path / "zero_jitter.cfg"

@@ -1,14 +1,19 @@
 """Monte Carlo oracle: determinism, agreement with closed forms, coverage."""
 
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from cascade_fading import mc
 from cascade_fading.distributions import (
     CompositeProduct,
     GammaGammaParams,
     PointingErrorParams,
+    sample_z,
     z_cdf,
 )
 from cascade_fading.mc import McEstimate, ks_statistic, mc_cdf, mc_op_parallel, mc_op_thz
@@ -24,6 +29,38 @@ BRANCH = CompositeProduct((WEAK, WEAK), (FIG7_PE, FIG7_PE))
 
 def db(v):
     return 10.0 ** (v / 10.0)
+
+
+def _one_shot_sample_z(ch, rng, count):
+    """Reference sampler: each factor's `count` variates drawn at once."""
+    z = np.ones(count)
+    for g in ch.gg_links:
+        z *= rng.gamma(g.alpha, 1.0 / g.alpha, count)
+        z *= rng.gamma(g.beta, g.omega / g.beta, count)
+    for p in ch.pe_links:
+        z *= p.a_o * rng.random(count) ** (1.0 / p.xi)
+    return z
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, for comparison."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _serial_tally(n, seed, draw, hit, points):
+    """Reference chunk loop: chunk k of 2^19 draws from Philox(seed, k << 128),
+    drawn one after another, each point's predicate on the whole chunk."""
+    hits = [0] * len(points)
+    sizes = [min(1 << 19, n - lo) for lo in range(0, n, 1 << 19)]
+    for k, size in enumerate(sizes):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=k << 128))
+        stat = draw(rng, size)
+        for i, point in enumerate(points):
+            hits[i] += int(np.count_nonzero(hit(stat, *point)))
+    return [McEstimate(h / n, math.sqrt(h / n * (1.0 - h / n) / n), n, seed, len(sizes))
+            for h in hits]
 
 
 class TestMcCdf:
@@ -61,6 +98,137 @@ class TestMcCdf:
     def test_domain(self):
         with pytest.raises(DomainError):
             mc_cdf(MIXED_21, 0.3, 0, 1)
+
+
+class TestArgumentChecks:
+    """Arguments the estimators cannot use raise DomainError instead of
+    returning a number."""
+
+    CH = CompositeProduct((GammaGammaParams(7.465009, 5.943215),))
+
+    @pytest.mark.parametrize("call", [
+        lambda ch: mc_cdf(ch, math.nan, 1000, 1),
+        lambda ch: mc_cdf(ch, [0.5, math.nan], 1000, 1),
+        lambda ch: mc_op_parallel(ch, 2, math.nan, 1000, 1),
+        lambda ch: mc_op_thz(ch, math.nan, 2.0, 0.0, 0.0, 1000, 1),
+        lambda ch: mc_op_thz(ch, db(20), 2.0, math.nan, 0.0, 1000, 1),
+    ], ids=["cdf", "cdf-sequence", "parallel", "thz-ratio", "thz-kappa"])
+    def test_nan_threshold(self, call):
+        with pytest.raises(DomainError):
+            call(self.CH)
+
+    @pytest.mark.parametrize("n", [2.5, 1e3, "1000", -3, 0])
+    def test_sample_count(self, n):
+        with pytest.raises(DomainError):
+            mc_cdf(self.CH, 0.5, n, 1)
+
+    @pytest.mark.parametrize("kappa", [(-0.1, 0.0), (0.0, -0.1), ([0.1, -0.1], 0.0)])
+    def test_negative_kappa(self, kappa):
+        with pytest.raises(DomainError):
+            mc_op_thz(self.CH, db(20), 2.0, *kappa, 1000, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 128, 1.5])
+    def test_seed(self, seed):
+        with pytest.raises(DomainError):
+            mc_cdf(self.CH, 0.5, 1000, seed)
+
+    def test_seed_range_edges(self):
+        for seed in (0, (1 << 128) - 1, np.int64(7)):
+            assert 0.0 < mc_cdf(self.CH, 0.9, 1000, seed).value < 1.0
+
+
+class TestSampler:
+    @pytest.mark.parametrize("count", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                                       3 * (1 << 16) + 5])
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0, 6.7])
+    def test_blocks_match_one_shot_draws(self, xi, count):
+        # xi = 0.5, 1, 2 give the exponents 2, 1, 0.5 that numpy computes by
+        # fast paths; values and the generator's final state must match the
+        # one-shot draws bit for bit
+        ch = CompositeProduct((GammaGammaParams(10.02, 2.98, omega=1.7), STRONG),
+                              (PointingErrorParams(xi, 0.8), FIG7_PE))
+        rng = np.random.Generator(np.random.Philox(key=5, counter=3 << 128))
+        ref = np.random.Generator(np.random.Philox(key=5, counter=3 << 128))
+        got = sample_z(ch, rng, count)
+        want = _one_shot_sample_z(ch, ref, count)
+        assert got.shape == (count,)
+        assert np.array_equal(got, want)
+        assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)
+
+
+class TestThreadedChunks:
+    """Chunks drawn on worker threads tally exactly what a serial chunk loop
+    gives, for any number of usable CPUs."""
+
+    N = 3 * (1 << 19) + 7  # four chunks, the last one short
+
+    @pytest.fixture(params=[None, 1, 8], ids=["host", "one-cpu", "eight-cpus"])
+    def workers(self, request, monkeypatch):
+        """The worker counts of the pools the estimators open."""
+        cpus = request.param
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+        opened = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often to expose races
+        try:
+            yield opened, min(4, cpus or mc._usable_cpus())
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cdf(self, workers):
+        xs = [0.05, 0.3, 0.9, 2.5]
+        got = mc_cdf(MIXED_21, xs, self.N, 13)
+        want = _serial_tally(self.N, 13, lambda rng, size: _one_shot_sample_z(MIXED_21, rng, size),
+                             lambda z, t: z <= t, [(x,) for x in xs])
+        assert got == want
+        opened, expected = workers
+        assert opened == [expected]
+
+    def test_parallel(self, workers):
+        ratios = [db(v) for v in (20.0, 26.0, 32.0)]
+
+        def draw(rng, size):
+            s = np.zeros(size)
+            for _ in range(2):
+                s += _one_shot_sample_z(BRANCH, rng, size)
+            return s / 2
+
+        got = mc_op_parallel(BRANCH, 2, ratios, self.N, 19)
+        want = _serial_tally(self.N, 19, draw, lambda s, t: s <= t,
+                             [(math.sqrt(1.0 / (2 * r)),) for r in ratios])
+        assert got == want
+        assert workers[0] == [workers[1]]
+
+    def test_thz(self, workers):
+        ch = TestMcThz.CH
+        ratios, g_th, kt, kr = [db(10.0), db(20.0), db(30.0)], 2.0, 0.25, 0.15
+        got = mc_op_thz(ch, ratios, g_th, kt, kr, self.N, 29)
+        want = _serial_tally(
+            self.N, 29, lambda rng, size: _one_shot_sample_z(ch, rng, size) ** 2,
+            lambda z2, g_s, k2: z2 * g_s / (z2 * g_s * k2 + 1.0) <= g_th,
+            [(r * g_th, kt * kt + kr * kr) for r in ratios])
+        assert got == want
+        assert workers[0] == [workers[1]]
+
+    def test_single_chunk_runs_on_one_worker(self, workers):
+        mc_cdf(MIXED_21, 0.3, 1000, 3)
+        assert workers[0] == [1]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert mc._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert mc._usable_cpus() == 3
 
 
 class TestMcParallel:
