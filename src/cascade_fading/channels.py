@@ -230,17 +230,11 @@ def molecular_absorption(frequency, atm: ThzAtmosphere):
     coefficients carry their SI powers (1/Hz^k); the printed short forms
     seen in the literature are the mantissas of these.  Negative excursions
     of the polynomial fit below ~120 GHz are clamped to zero.  Outside the
-    100-500 GHz validity band a warning is emitted.
+    100-500 GHz validity band a warning is emitted; above ~5.6e102 Hz, where
+    the cubic overflows, DomainError is raised.
     """
     if not 0 < frequency < math.inf:
         raise DomainError(f"frequency must be positive and finite, got {frequency!r}")
-    if not 100e9 <= frequency <= 500e9:
-        warnings.warn(
-            f"kappa(f) evaluated outside its 100-500 GHz validity band "
-            f"(f = {frequency / 1e9:.1f} GHz)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     p_w = _saturated_water_vapor_pressure_hpa(atm.temperature, atm.pressure)
     mu_w = (atm.humidity / 100.0) * (p_w * 100.0) / atm.pressure
     g_a = 0.2205 * mu_w * (0.1303 * mu_w + 0.0294)
@@ -248,14 +242,24 @@ def molecular_absorption(frequency, atm: ThzAtmosphere):
     g_c = 2.014 * mu_w * (0.1702 * mu_w + 0.0303)
     g_d = (0.537 * mu_w + 0.0956) ** 2
     wavenumber = frequency / (100.0 * SPEED_OF_LIGHT)  # 1/cm
-    g1 = g_a / (g_b + (wavenumber - 10.835) ** 2)
-    g2 = g_c / (g_d + (wavenumber - 12.664) ** 2)
-    poly = (
-        5.54e-37 * frequency**3
-        - 3.94e-25 * frequency**2
-        + 9.06e-14 * frequency
-        - 6.36e-3
-    )
+    try:
+        g1 = g_a / (g_b + (wavenumber - 10.835) ** 2)
+        g2 = g_c / (g_d + (wavenumber - 12.664) ** 2)
+        poly = (
+            5.54e-37 * frequency**3
+            - 3.94e-25 * frequency**2
+            + 9.06e-14 * frequency
+            - 6.36e-3
+        )
+    except OverflowError:  # float ** raises where the power would be inf
+        raise DomainError(f"kappa(f) overflows at f = {frequency!r} Hz") from None
+    if not 100e9 <= frequency <= 500e9:
+        warnings.warn(
+            f"kappa(f) evaluated outside its 100-500 GHz validity band "
+            f"(f = {frequency / 1e9:.1f} GHz)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return max(poly + g1 + g2, 0.0)
 
 

@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from scipy.constants import k as BOLTZMANN
+BOLTZMANN = 1.380649e-23  # J/K, exact in the SI since 2019
 
 from .channels import (
     FsoAtmosphere,

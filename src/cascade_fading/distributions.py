@@ -26,7 +26,8 @@ the line, so they need no special treatment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special as sp
@@ -66,7 +67,7 @@ _GUARD_ABS = 1e-9
 # integral, relative to the integrand's peak on the line; the node count
 # beyond which an evaluation refuses; the iteration cap of the saddle search.
 _MB_TOL = 1e-17
-_MB_MAX_NODES = 1 << 16
+_MB_MAX_NODES = 1 << 17
 _SADDLE_ITERS = 100
 
 # z_cdf_asymptotic integrates pointing factors with xi at least this large
@@ -180,6 +181,12 @@ class CompositeProduct:
         """True when the exponent tuple has an integer-separated pair."""
         return bool(_degenerate_pairs(self.b_tuple))
 
+    @cached_property
+    def _law(self):
+        """The Mellin transform behind z_cdf and z_pdf, built on first use
+        and kept for the life of the channel."""
+        return _MellinLaw(self)
+
     def replicated(self, times):
         """Product law of `times` independent copies multiplied together."""
         if times < 1:
@@ -212,20 +219,20 @@ class _MellinLaw:
     def log_moment(self, s):
         """log E[Z^s] on the complex array s."""
         out = s * self.log_scale + self.log_norm
-        out = out + np.sum(sp.loggamma(self.shapes[:, None] + s), axis=0)
-        return out - np.sum(np.log(self.xis[:, None] + s), axis=0)
+        out = out + sp.loggamma(self.shapes[:, None] + s).sum(axis=0)
+        return out - np.log(self.xis[:, None] + s).sum(axis=0)
 
     def log_size(self, c, lx, pole):
         """log of the real integrand x^-c E[Z^c] (over |c| when pole)."""
         v = (c * (self.log_scale - lx) + self.log_norm
-             + np.sum(sp.gammaln(self.shapes + c)) - np.sum(np.log(self.xis + c)))
+             + sp.gammaln(self.shapes + c).sum() - np.log(self.xis + c).sum())
         return float(v) - (math.log(abs(c)) if pole else 0.0)
 
     def slopes(self, c, lx, pole):
         """First and second derivative of log_size in c."""
-        g = (self.log_scale - lx + np.sum(sp.digamma(self.shapes + c))
-             - np.sum(1.0 / (self.xis + c)))
-        g2 = np.sum(sp.zeta(2.0, self.shapes + c)) + np.sum((self.xis + c) ** -2.0)
+        g = (self.log_scale - lx + sp.digamma(self.shapes + c).sum()
+             - (1.0 / (self.xis + c)).sum())
+        g2 = sp.zeta(2.0, self.shapes + c).sum() + ((self.xis + c) ** -2.0).sum()
         if pole:
             g, g2 = g - 1.0 / c, g2 + 1.0 / (c * c)
         return float(g), float(g2)
@@ -273,31 +280,48 @@ def _line_integral(law: _MellinLaw, lx, kind):
     # pole, and no wider than where the bound grows by 1/_MB_TOL through the
     # curvature at the saddle (wider strips only lengthen the sum).
     budget = 1.0 - math.log(_MB_TOL)
-    a = min(0.5 * float(np.min(np.abs(c - poles))), math.sqrt(2.0 * budget / curv))
+    width = math.sqrt(2.0 * budget / curv)
+    a = min(0.5 * float(np.min(np.abs(c - poles))), width)
     edge = max(law.log_size(c - a, lx, pole), law.log_size(c + a, lx, pole))
     h = 2.0 * math.pi * a / (edge - peak + budget)
-    # |integrand| decreases in |t|: add nodes until it drops below the floor
+    # |integrand| decreases in |t|: add nodes until it drops below the floor.
+    # The first chunk spans the saddle's Gaussian width (all nodes for a
+    # degenerate step), each later one the last two nodes' decay
+    # extrapolated down to the floor (doubling where that decay is not
+    # negative; min(cap, .) also absorbs a NaN).  The sum stops at the first
+    # node below the floor, so the chunking never changes the value.
     floor = peak + math.log(_MB_TOL)
-    chunks, k0, n = [], 0, 64
+    chunks, k0 = [], 0
+    if width < _MB_MAX_NODES * abs(h):
+        n = int(width / abs(h)) + 2
+    else:
+        n = _MB_MAX_NODES
     while True:
+        n = min(n, _MB_MAX_NODES - k0)
         s = c + 1j * (h * np.arange(k0, k0 + n))
         logv = law.log_moment(s) - s * lx
         if pole:
             logv = logv - np.log(s)
-        small = logv.real < floor
+        mag = logv.real
+        small = mag < floor
         small[0] &= k0 > 0  # node 0 is the peak itself
         if small.any():
             chunks.append(logv[:int(np.argmax(small))])
             break
         chunks.append(logv)
-        k0, n = k0 + n, 2 * n
+        k0 += n
         if k0 >= _MB_MAX_NODES:
             raise AccuracyError(
                 f"Mellin-Barnes integral needs more than {_MB_MAX_NODES} nodes "
                 f"(ln x = {lx:.6g})")
+        slope = mag[-1] - mag[-2]
+        if slope < 0.0:
+            n = int(min(_MB_MAX_NODES, (floor - mag[-1]) / slope)) + 2
+        else:
+            n = 2 * n
     re = np.exp(np.concatenate(chunks) - peak).real
-    fine = 0.5 * re[0] + np.sum(re[1:])
-    coarse = 2.0 * (0.5 * re[0] + np.sum(re[2::2]))
+    fine = 0.5 * re[0] + re[1:].sum()
+    coarse = 2.0 * (0.5 * re[0] + re[2::2].sum())
     scale = h / math.pi * math.exp(peak)
     sign = -1.0 if kind == "F" else 1.0
     return sign * scale * fine, scale * abs(fine - coarse)
@@ -355,7 +379,7 @@ def z_cdf(ch: CompositeProduct, x):
     AccuracyError when the error estimate exceeds the refusal guard.
     """
     xx, scalar = _as_array(x, allow_zero=True)
-    law = _MellinLaw(ch)
+    law = ch._law
     out = np.array([_cdf_at(law, v) for v in xx.flat]).reshape(xx.shape)
     return float(out[0]) if scalar else out
 
@@ -364,7 +388,7 @@ def z_pdf(ch: CompositeProduct, x):
     """PDF of the composite product Z at x > 0 (scalar or array), by the
     Mellin-Barnes integral on its saddle line."""
     xx, scalar = _as_array(x)
-    law = _MellinLaw(ch)
+    law = ch._law
     out = np.array([_pdf_at(law, v) for v in xx.flat]).reshape(xx.shape)
     return float(out[0]) if scalar else out
 

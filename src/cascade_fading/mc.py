@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .distributions import CompositeProduct, sample_z, z_cdf
 from .specfun import DomainError
@@ -219,6 +218,10 @@ def ks_statistic(ch: CompositeProduct, samples, grid_points=4096):
     grid points the interpolation error is far below the KS resolution of
     any sample size this package uses.
     """
+    # imported here: scipy.interpolate pulls in optimize, linalg, sparse and
+    # spatial, which nothing else on the import path of the package needs
+    from scipy.interpolate import PchipInterpolator
+
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
     if n < 2:

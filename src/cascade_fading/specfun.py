@@ -79,15 +79,6 @@ class DegenerateParametersError(ValueError):
     """Lower parameters separated by an integer: no simple-pole expansion."""
 
 
-class SeriesOverflowError(ArithmeticError):
-    """pFq series failed to converge within the term cap."""
-
-    def __init__(self, message, terms=None, last_term=None):
-        super().__init__(message)
-        self.terms = terms
-        self.last_term = last_term
-
-
 class AccuracyError(ArithmeticError):
     """Requested value could not be stabilized to a usable accuracy."""
 
@@ -95,6 +86,15 @@ class AccuracyError(ArithmeticError):
         super().__init__(message)
         self.value_plus = value_plus
         self.value_minus = value_minus
+
+
+class SeriesOverflowError(AccuracyError):
+    """pFq series failed to converge within the term cap."""
+
+    def __init__(self, message, terms=None, last_term=None):
+        super().__init__(message)
+        self.terms = terms
+        self.last_term = last_term
 
 
 def gamma_fn(x):

@@ -173,7 +173,7 @@ class TestMolecularAbsorption:
         with pytest.warns(RuntimeWarning):
             molecular_absorption(50e9, atm)
 
-    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan, math.inf, 1e300])
     def test_domain(self, frequency):
         with pytest.raises(DomainError):
             molecular_absorption(frequency, ThzAtmosphere())

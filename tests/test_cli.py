@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +281,35 @@ class TestEval:
         assert value > 0
 
 
+class TestColdImport:
+    def test_cli_import_leaves_heavy_scipy_modules_unloaded(self):
+        # scipy.interpolate (with optimize, linalg, sparse, spatial) loads
+        # on the first ks_statistic call, and scipy.constants never
+        code = """
+import sys
+import numpy as np
+import cascade_fading.cli
+assert "scipy.interpolate" not in sys.modules, "scipy.interpolate"
+assert "scipy.constants" not in sys.modules, "scipy.constants"
+from cascade_fading import CompositeProduct, GammaGammaParams, ks_statistic, sample_z
+ch = CompositeProduct((GammaGammaParams(10.02, 2.98),))
+d = ks_statistic(ch, sample_z(ch, np.random.default_rng(3), 2000), grid_points=256)
+assert 0.0 < d < 0.05, d
+assert "scipy.interpolate" in sys.modules
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_boltzmann_literal_is_codata_exact(self):
+        from scipy.constants import k
+
+        from cascade_fading.cli import BOLTZMANN
+
+        assert BOLTZMANN == k
+
+
 class TestMainExitCodes:
     def test_run_ok(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -340,7 +371,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("recipe,quantity,at", [
         ("fig3_weak_weak", "pdf", "-1"), ("fig3_weak_weak", "pdf", "nan"),
         ("fig3_weak_weak", "cdf", "nan"), ("fig9", "kappa", "-1"),
-        ("fig9", "kappa", "nan"), ("fig9", "kappa", "inf")])
+        ("fig9", "kappa", "nan"), ("fig9", "kappa", "inf"),
+        ("fig9", "kappa", "1e300")])
     def test_eval_outside_domain_exits_2(self, recipe, quantity, at, capsys):
         assert main(["eval", recipe_path(recipe), "--quantity", quantity,
                      "--at", at]) == 2

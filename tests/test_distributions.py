@@ -2,13 +2,16 @@
 oracles.  Every [derived] expectation here is computed by an independent
 numerical method in the test itself."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from cascade_fading import distributions
 from cascade_fading.distributions import (
     CompositeProduct,
     GammaGammaParams,
@@ -385,3 +388,175 @@ class TestSampling:
         n = 10**6
         s = sample_z(MIXED_21, rng, n)
         assert ks_statistic(MIXED_21, s) < 1.63 / math.sqrt(n)
+
+
+def _doubling_reference(law, lx, kind):
+    """The line integral on the former node schedule: chunks of 64, 128, ...
+    nodes, refused once 2^16 nodes have been passed.  Returns (value, error
+    estimate, nodes summed)."""
+    pole = kind != "f"
+    if kind == "F":
+        c, curv = distributions._saddle(law, lx, -law.b_min, 0.0, -0.5 * law.b_min, True)
+    else:
+        lo = 0.0 if pole else -law.b_min
+        c, curv = distributions._saddle(law, lx, lo, math.inf, 1.0 if pole else 0.0, pole)
+    poles = np.append(law.poles, 0.0) if pole else law.poles
+    peak = law.log_size(c, lx, pole)
+    budget = 1.0 - math.log(distributions._MB_TOL)
+    a = min(0.5 * float(np.min(np.abs(c - poles))), math.sqrt(2.0 * budget / curv))
+    edge = max(law.log_size(c - a, lx, pole), law.log_size(c + a, lx, pole))
+    h = 2.0 * math.pi * a / (edge - peak + budget)
+    floor = peak + math.log(distributions._MB_TOL)
+    chunks, k0, n = [], 0, 64
+    while True:
+        s = c + 1j * (h * np.arange(k0, k0 + n))
+        logv = law.log_moment(s) - s * lx
+        if pole:
+            logv = logv - np.log(s)
+        small = logv.real < floor
+        small[0] &= k0 > 0
+        if small.any():
+            chunks.append(logv[:int(np.argmax(small))])
+            break
+        chunks.append(logv)
+        k0, n = k0 + n, 2 * n
+        if k0 >= 1 << 16:
+            raise AccuracyError("node cap")
+    logv = np.concatenate(chunks)
+    re = np.exp(logv - peak).real
+    fine = 0.5 * re[0] + np.sum(re[1:])
+    coarse = 2.0 * (0.5 * re[0] + np.sum(re[2::2]))
+    scale = h / math.pi * math.exp(peak)
+    sign = -1.0 if kind == "F" else 1.0
+    return sign * scale * fine, scale * abs(fine - coarse), logv.size
+
+
+def _outcome(fn, *args):
+    """(value, error estimate) as reprs, which tell -0.0 from 0.0, or the
+    type of the exception raised."""
+    try:
+        val, err = fn(*args)[:2]
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
+    return repr(float(val)), repr(float(err))
+
+
+# the channels of the benchmark's scalar workload
+SCALAR_CHANNELS = {
+    "clean_pair": CompositeProduct((WEAK, STRONG)),
+    "pointing_pair": CompositeProduct((WEAK, STRONG), (PE_A, PE_B)),
+    "coincident_pair": CompositeProduct((WEAK, WEAK)),
+}
+
+
+class _NodeCount:
+    """Counts the nodes passed to _MellinLaw.log_moment while installed."""
+
+    def __init__(self, monkeypatch):
+        self.nodes = 0
+        inner = distributions._MellinLaw.log_moment
+
+        def log_moment(law, s):
+            self.nodes += np.size(s)
+            return inner(law, s)
+
+        monkeypatch.setattr(distributions._MellinLaw, "log_moment", log_moment)
+
+
+class TestNodeSchedule:
+    """The node chunks are sized from the integrand's decay; the sum is cut
+    at the first node below the floor however the nodes are chunked, so
+    every value, error estimate and refusal equals the doubling schedule's."""
+
+    @pytest.mark.parametrize("ch", [
+        *SCALAR_CHANNELS.values(),
+        CompositeProduct((GammaGammaParams(60.0, 40.0),) * 3),
+        CompositeProduct((WEAK,) * 3, (PE_A, PE_B)),
+    ], ids=[*SCALAR_CHANNELS, "g60_40_cubed", "weak3_pe2"])
+    def test_matches_doubling_reference(self, ch):
+        law = ch._law
+        for x in np.exp(np.linspace(math.log(1e-6), math.log(50.0), 15)):
+            for kind in "FQf":
+                args = (law, math.log(x), kind)
+                assert (_outcome(distributions._line_integral, *args)
+                        == _outcome(_doubling_reference, *args)), (x, kind)
+
+    @pytest.mark.parametrize("x", [1e30, 1e50, 1e100, 1e-300, 5e-324])
+    def test_matches_doubling_reference_far_out(self, x):
+        law = CompositeProduct((WEAK,))._law
+        for kind in "FQf":
+            args = (law, math.log(x), kind)
+            assert (_outcome(distributions._line_integral, *args)
+                    == _outcome(_doubling_reference, *args)), kind
+
+    @pytest.mark.parametrize("label", SCALAR_CHANNELS)
+    @pytest.mark.parametrize("lo,hi,bound", [
+        (1e-3, 10.0, 1.25),
+        # down to F ~ 1e-8: the first chunk ends where the decay is shallow,
+        # so the extrapolated second chunk overshoots by up to ~40%
+        (1e-7, 20.0, 1.4),
+    ])
+    def test_evaluates_few_unused_nodes(self, label, lo, hi, bound, monkeypatch):
+        law = SCALAR_CHANNELS[label]._law
+        used = 0
+        for x in np.exp(np.linspace(math.log(lo), math.log(hi), 40)):
+            lx = math.log(x)
+            for kind in ("F" if lx < law.mean_log else "Q", "f"):
+                used += _doubling_reference(law, lx, kind)[2]
+        count = _NodeCount(monkeypatch)
+        for x in np.exp(np.linspace(math.log(lo), math.log(hi), 40)):
+            z_cdf(SCALAR_CHANNELS[label], x)
+            z_pdf(SCALAR_CHANNELS[label], x)
+        assert count.nodes <= bound * used
+
+    def test_refusal_evaluates_at_most_the_cap(self, monkeypatch):
+        count = _NodeCount(monkeypatch)
+        with pytest.raises(AccuracyError, match="131072 nodes"):
+            z_cdf(SCALAR_CHANNELS["clean_pair"], 1e100)
+        assert count.nodes == distributions._MB_MAX_NODES
+        # a degenerate step sizes the first chunk at the cap itself
+        count.nodes = 0
+        with pytest.raises(AccuracyError):
+            z_pdf(CompositeProduct((WEAK,)), 1e50)
+        assert count.nodes == distributions._MB_MAX_NODES
+
+    def test_cap_counts_node_indices(self, monkeypatch):
+        # the first node below the floor has index `used`: a cap of
+        # used + 1 nodes reaches it, a cap of `used` refuses
+        law = SCALAR_CHANNELS["clean_pair"]._law
+        lx = math.log(1e-6)
+        val, err, used = _doubling_reference(law, lx, "F")
+        monkeypatch.setattr(distributions, "_MB_MAX_NODES", used + 1)
+        assert distributions._line_integral(law, lx, "F") == (val, err)
+        monkeypatch.setattr(distributions, "_MB_MAX_NODES", used)
+        count = _NodeCount(monkeypatch)
+        with pytest.raises(AccuracyError):
+            distributions._line_integral(law, lx, "F")
+        assert count.nodes == used
+
+
+class TestLawPerChannel:
+    def test_built_once_per_channel(self, monkeypatch):
+        builds = []
+        inner = distributions._MellinLaw.__init__
+
+        def init(law, ch):
+            builds.append(1)
+            inner(law, ch)
+
+        monkeypatch.setattr(distributions._MellinLaw, "__init__", init)
+        ch = CompositeProduct((WEAK, STRONG), (PE_A,))
+        for x in np.exp(np.linspace(math.log(1e-3), math.log(10.0), 50)):
+            z_cdf(ch, x)
+            z_pdf(ch, x)
+        assert len(builds) == 1
+        # an equal channel builds its own; the law leaves eq, hash and repr
+        # alone and dies with its channel
+        twin = CompositeProduct((STRONG, WEAK), (PE_A,))
+        assert z_cdf(twin, 0.5) == z_cdf(ch, 0.5)
+        assert len(builds) == 2
+        assert twin == ch and hash(twin) == hash(ch) and repr(twin) == repr(ch)
+        ref = weakref.ref(ch._law)
+        del ch
+        gc.collect()
+        assert ref() is None

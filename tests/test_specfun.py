@@ -149,6 +149,12 @@ class TestPfq:
         assert all(prev_terms[i] >= prev_terms[i + 1] for i in range(k0, 300))
         assert pfq(a, b, z)[0] == pytest.approx(total, rel=1e-9)
 
+    def test_series_overflow_is_an_accuracy_error(self):
+        # `except AccuracyError` catches every refusal of the package
+        assert issubclass(SeriesOverflowError, AccuracyError)
+        err = SeriesOverflowError("no convergence", terms=10_000, last_term=2.5)
+        assert (str(err), err.terms, err.last_term) == ("no convergence", 10_000, 2.5)
+
 
 class TestMeijerG:
     def test_exponential_special_case(self):
