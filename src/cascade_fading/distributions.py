@@ -17,6 +17,7 @@ With s = c + i t on a vertical line,
 
 The integrand decays like exp(-N pi |t|), so the trapezoidal rule converges
 exponentially in the step (Trefethen & Weideman, SIAM Rev. 56, 2014).  The
+rule is specfun's Mellin-Barnes engine, which also evaluates meijer_g: the
 line sits at the saddle of the real integrand, the step follows from the
 pole-free strip around it, and the sum on twice the step, taken from the same
 nodes, gives the error estimate.  Coincident parameters only merge poles off
@@ -37,7 +38,9 @@ from .specfun import (
     DegenerateParametersError,
     DomainError,
     MeijerGSpec,
+    _GUARD_REL,
     _degenerate_pairs,
+    _mb_integral,
     build_slater_expansion,
 )
 
@@ -55,20 +58,10 @@ __all__ = [
     "sample_z",
 ]
 
-# Refusal guards on the error estimate, the gap between the trapezoidal sums
-# on steps h and 2h.  The coarse sum is far less accurate than the returned
-# fine one, so the estimate is conservative; tests pin the true accuracy
-# against independent oracles.
-_GUARD_REL = 3e-4
+# Refusal guards on the error estimate besides the CDF's relative
+# _GUARD_REL: the PDF's relative one, and the CDF's absolute slack.
 _GUARD_REL_PDF = 2e-3
 _GUARD_ABS = 1e-9
-
-# Target size of the discretization and truncation errors of a line
-# integral, relative to the integrand's peak on the line; the node count
-# beyond which an evaluation refuses; the iteration cap of the saddle search.
-_MB_TOL = 1e-17
-_MB_MAX_NODES = 1 << 17
-_SADDLE_ITERS = 100
 
 # z_cdf_asymptotic integrates pointing factors with xi at least this large
 # out of the residue sum: their gamma-ratio coefficients overflow near
@@ -201,7 +194,8 @@ def _cdf_spec(ch: CompositeProduct) -> MeijerGSpec:
 
 class _MellinLaw:
     """log E[Z^s] = s log_scale + log_norm + sum lnGamma(shape + s)
-    - sum ln(xi + s), with its real slices used to place a line."""
+    - sum ln(xi + s), with its real slices used to place a line: the kernel
+    that specfun._mb_integral integrates."""
 
     def __init__(self, ch: CompositeProduct):
         self.shapes = np.array([g.alpha for g in ch.gg_links]
@@ -238,93 +232,19 @@ class _MellinLaw:
         return float(g), float(g2)
 
 
-def _saddle(law: _MellinLaw, lx, lo, hi, c, pole):
-    """Minimum of the convex log_size on (lo, hi) by safeguarded Newton,
-    with the curvature there.
-
-    Where hi is infinite the slope is concave, so Newton steps from the left
-    of the minimum stay left of it; any step leaving the bracket is replaced
-    by bisection.
-    """
-    for _ in range(_SADDLE_ITERS):
-        g, g2 = law.slopes(c, lx, pole)
-        if g < 0.0:
-            lo = c
-        else:
-            hi = c
-        nxt = c - g / g2
-        if abs(nxt - c) <= 1e-10 * (1.0 + abs(c)):
-            break
-        c = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    return c, g2
-
-
 def _line_integral(law: _MellinLaw, lx, kind):
     """One Mellin-Barnes integral at ln x = lx: (value, error estimate).
 
-    kind "F" gives P(Z <= x), "Q" gives P(Z > x) and "f" gives x times the
-    density.  Every quantity depends on (law, lx) alone, so scalar and array
-    calls agree bit for bit.
+    kind "F" gives P(Z <= x) on a line in (-b_min, 0), "Q" gives P(Z > x) on
+    a line right of the origin and "f" gives x times the density on a line
+    right of -b_min.
     """
-    pole = kind != "f"
     if kind == "F":
-        c, curv = _saddle(law, lx, -law.b_min, 0.0, -0.5 * law.b_min, True)
-    else:
-        lo = 0.0 if pole else -law.b_min
-        c, curv = _saddle(law, lx, lo, math.inf, 1.0 if pole else 0.0, pole)
-    poles = np.append(law.poles, 0.0) if pole else law.poles
-    peak = law.log_size(c, lx, pole)
-    # The integrand is analytic in the strip |Re s - c| < a and bounded there
-    # by its real value at c +- a, so the discretization error falls like
-    # exp(-2 pi a / h) times that bound.  a stays half-way to the nearest
-    # pole, and no wider than where the bound grows by 1/_MB_TOL through the
-    # curvature at the saddle (wider strips only lengthen the sum).
-    budget = 1.0 - math.log(_MB_TOL)
-    width = math.sqrt(2.0 * budget / curv)
-    a = min(0.5 * float(np.min(np.abs(c - poles))), width)
-    edge = max(law.log_size(c - a, lx, pole), law.log_size(c + a, lx, pole))
-    h = 2.0 * math.pi * a / (edge - peak + budget)
-    # |integrand| decreases in |t|: add nodes until it drops below the floor.
-    # The first chunk spans the saddle's Gaussian width (all nodes for a
-    # degenerate step), each later one the last two nodes' decay
-    # extrapolated down to the floor (doubling where that decay is not
-    # negative; min(cap, .) also absorbs a NaN).  The sum stops at the first
-    # node below the floor, so the chunking never changes the value.
-    floor = peak + math.log(_MB_TOL)
-    chunks, k0 = [], 0
-    if width < _MB_MAX_NODES * abs(h):
-        n = int(width / abs(h)) + 2
-    else:
-        n = _MB_MAX_NODES
-    while True:
-        n = min(n, _MB_MAX_NODES - k0)
-        s = c + 1j * (h * np.arange(k0, k0 + n))
-        logv = law.log_moment(s) - s * lx
-        if pole:
-            logv = logv - np.log(s)
-        mag = logv.real
-        small = mag < floor
-        small[0] &= k0 > 0  # node 0 is the peak itself
-        if small.any():
-            chunks.append(logv[:int(np.argmax(small))])
-            break
-        chunks.append(logv)
-        k0 += n
-        if k0 >= _MB_MAX_NODES:
-            raise AccuracyError(
-                f"Mellin-Barnes integral needs more than {_MB_MAX_NODES} nodes "
-                f"(ln x = {lx:.6g})")
-        slope = mag[-1] - mag[-2]
-        if slope < 0.0:
-            n = int(min(_MB_MAX_NODES, (floor - mag[-1]) / slope)) + 2
-        else:
-            n = 2 * n
-    re = np.exp(np.concatenate(chunks) - peak).real
-    fine = 0.5 * re[0] + re[1:].sum()
-    coarse = 2.0 * (0.5 * re[0] + re[2::2].sum())
-    scale = h / math.pi * math.exp(peak)
-    sign = -1.0 if kind == "F" else 1.0
-    return sign * scale * fine, scale * abs(fine - coarse)
+        val, err = _mb_integral(law, lx, -law.b_min, 0.0, -0.5 * law.b_min, True)
+        return -val, err
+    if kind == "Q":
+        return _mb_integral(law, lx, 0.0, math.inf, 1.0, True)
+    return _mb_integral(law, lx, -law.b_min, math.inf, 0.0, False)
 
 
 def _accuracy_fail(what, val, err):
@@ -337,9 +257,9 @@ def _accuracy_fail(what, val, err):
 def _as_array(x, allow_zero=False):
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.isnan(xx)):
-        raise DomainError("argument must not be NaN")
-    if np.any(xx < 0) or (not allow_zero and np.any(xx <= 0)):
+    if not (xx >= 0 if allow_zero else xx > 0).all():
+        if np.isnan(xx).any():
+            raise DomainError("argument must not be NaN")
         raise DomainError("argument must be positive")
     return xx, scalar
 

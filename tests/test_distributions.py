@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from cascade_fading import distributions
+from cascade_fading import distributions, specfun
 from cascade_fading.distributions import (
     CompositeProduct,
     GammaGammaParams,
@@ -222,11 +222,11 @@ class TestCompositeCdfPdf:
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_normalization_coincident_pair(self):
-        # the perturbation-path PDF has a flagged band deep in the upper
-        # tail; normalization is checked over the bulk against the CDF (which
-        # stays covered), plus the CDF limit itself
+        # coincident parameters take the same line integral as distinct
+        # ones; normalization is checked over the bulk against the CDF, plus
+        # the CDF limit itself
         ch = CompositeProduct((WEAK, WEAK))
-        hi = 3.3  # ~97.5 percent of the mass, inside the clean zone
+        hi = 3.3  # ~97.5 percent of the mass
         val, _ = integrate.quad(lambda t: z_pdf(ch, t), 0.0, hi, limit=500)
         assert val == pytest.approx(z_cdf(ch, hi), abs=5e-7)
         assert z_cdf(ch, 300.0) >= 1.0 - 1e-6
@@ -236,7 +236,8 @@ class TestCompositeCdfPdf:
     def test_cdf_monotone_and_in_range(self, ch):
         grid = np.exp(np.linspace(math.log(1e-4), math.log(80.0), 400))
         vals = z_cdf(ch, grid)
-        # slack covers the documented seam error of the tail handoff
+        # the slack is far above the ~1e-13 error of the line integral,
+        # also where the CDF switches from F to 1 - Q at E[ln Z]
         assert np.all(np.diff(vals) >= -1e-7)
         assert np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)
         assert vals[-1] > 1.0 - 1e-6
@@ -396,17 +397,17 @@ def _doubling_reference(law, lx, kind):
     estimate, nodes summed)."""
     pole = kind != "f"
     if kind == "F":
-        c, curv = distributions._saddle(law, lx, -law.b_min, 0.0, -0.5 * law.b_min, True)
+        c, curv = specfun._saddle(law, lx, -law.b_min, 0.0, -0.5 * law.b_min, True)
     else:
         lo = 0.0 if pole else -law.b_min
-        c, curv = distributions._saddle(law, lx, lo, math.inf, 1.0 if pole else 0.0, pole)
+        c, curv = specfun._saddle(law, lx, lo, math.inf, 1.0 if pole else 0.0, pole)
     poles = np.append(law.poles, 0.0) if pole else law.poles
     peak = law.log_size(c, lx, pole)
-    budget = 1.0 - math.log(distributions._MB_TOL)
+    budget = 1.0 - math.log(specfun._MB_TOL)
     a = min(0.5 * float(np.min(np.abs(c - poles))), math.sqrt(2.0 * budget / curv))
     edge = max(law.log_size(c - a, lx, pole), law.log_size(c + a, lx, pole))
     h = 2.0 * math.pi * a / (edge - peak + budget)
-    floor = peak + math.log(distributions._MB_TOL)
+    floor = peak + math.log(specfun._MB_TOL)
     chunks, k0, n = [], 0, 64
     while True:
         s = c + 1j * (h * np.arange(k0, k0 + n))
@@ -513,12 +514,12 @@ class TestNodeSchedule:
         count = _NodeCount(monkeypatch)
         with pytest.raises(AccuracyError, match="131072 nodes"):
             z_cdf(SCALAR_CHANNELS["clean_pair"], 1e100)
-        assert count.nodes == distributions._MB_MAX_NODES
+        assert count.nodes == specfun._MB_MAX_NODES
         # a degenerate step sizes the first chunk at the cap itself
         count.nodes = 0
         with pytest.raises(AccuracyError):
             z_pdf(CompositeProduct((WEAK,)), 1e50)
-        assert count.nodes == distributions._MB_MAX_NODES
+        assert count.nodes == specfun._MB_MAX_NODES
 
     def test_cap_counts_node_indices(self, monkeypatch):
         # the first node below the floor has index `used`: a cap of
@@ -526,9 +527,9 @@ class TestNodeSchedule:
         law = SCALAR_CHANNELS["clean_pair"]._law
         lx = math.log(1e-6)
         val, err, used = _doubling_reference(law, lx, "F")
-        monkeypatch.setattr(distributions, "_MB_MAX_NODES", used + 1)
+        monkeypatch.setattr(specfun, "_MB_MAX_NODES", used + 1)
         assert distributions._line_integral(law, lx, "F") == (val, err)
-        monkeypatch.setattr(distributions, "_MB_MAX_NODES", used)
+        monkeypatch.setattr(specfun, "_MB_MAX_NODES", used)
         count = _NodeCount(monkeypatch)
         with pytest.raises(AccuracyError):
             distributions._line_integral(law, lx, "F")

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from cascade_fading import specfun
 from cascade_fading.specfun import (
     AccuracyError,
     DegenerateParametersError,
@@ -243,3 +245,67 @@ class TestSlaterExpansion:
             direct = meijer_g(spec, float(x))
             rhs = 2.0 * x ** ((5.2 + 2.17) / 2) * bessel_k(5.2 - 2.17, 2 * math.sqrt(x))
             assert direct.value == pytest.approx(rhs, rel=2e-7)
+
+
+def _mpmath_meijer_g(spec, x):
+    """G^{m,n}_{p,q}(x | a; b) by mpmath at 30 digits: hypergeometric
+    series, with integer-separated parameters perturbed at raised
+    precision."""
+    with mpmath.workdps(30):
+        return float(mpmath.meijerg([spec.a[:spec.n], spec.a[spec.n:]],
+                                    [spec.b[:spec.m], spec.b[spec.m:]], x))
+
+
+ORACLE_CASES = {
+    "exp": (MeijerGSpec(1, 0, 0, 1, (), (0.0,)), (1.0,)),
+    "bessel": (MeijerGSpec(2, 0, 0, 2, (), (10.02, 2.98)), (1e-4, 0.5, 50.0, 1e4)),
+    "coincident": (MeijerGSpec(2, 0, 0, 2, (), (2.98, 2.98)), (1e-3, 0.7, 1.0)),
+    "integer_gap": (MeijerGSpec(2, 0, 0, 2, (), (0.5, 1.5)), (1e-3, 0.7, 1.0)),
+    "cdf2113": (MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.23, 0.0)), (0.1, 1.0, 10.0)),
+    "cdf2113_gap3": (MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.94, 0.0)), (0.1, 1.0, 10.0)),
+    "cdf3124": (MeijerGSpec(3, 1, 2, 4, (1.0, 7.7), (4.94, 1.23, 6.7, 0.0)),
+                (0.1, 1.0, 10.0)),
+    "cdf3124_gap3": (MeijerGSpec(3, 1, 2, 4, (1.0, 7.7), (4.94, 1.94, 6.7, 0.0)),
+                     (0.1, 1.0, 10.0)),
+}
+
+
+class TestMeijerGOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_mpmath(self, case):
+        spec, xs = ORACLE_CASES[case]
+        vec = meijer_g(spec, np.array(xs)).value
+        for x, v in zip(xs, vec):
+            assert v == pytest.approx(_mpmath_meijer_g(spec, x), rel=1e-13), x
+            assert meijer_g(spec, x).value == v
+
+    def test_non_finite_argument_rejected(self):
+        spec = MeijerGSpec(2, 0, 0, 2, (), (10.02, 2.98))
+        for x in (math.nan, math.inf, -math.inf, [0.5, math.nan]):
+            with pytest.raises(DomainError):
+                meijer_g(spec, x)
+
+    def test_no_separating_line_rejected(self):
+        # the poles of Gamma(1 - a_1 - s) reach those of Gamma(b_1 + s):
+        # the spec and its residue expansion exist, the line integral not
+        spec = MeijerGSpec(1, 1, 1, 2, (3.0,), (0.5, 0.0))
+        assert len(build_slater_expansion(spec).terms) == 1
+        with pytest.raises(UnsupportedSpecError):
+            meijer_g(spec, 1.0)
+
+    def test_error_estimate_guard(self, monkeypatch):
+        # the estimate at x = 1e4 is ~1e-5 of the value: inside the 3e-4
+        # guard, refused under a tighter one
+        spec = MeijerGSpec(2, 0, 0, 2, (), (10.02, 2.98))
+        res = meijer_g(spec, 1e4)
+        assert 0.0 < res.est_abs_err <= 3e-4 * res.value
+        monkeypatch.setattr(specfun, "_GUARD_REL", 1e-7)
+        with pytest.raises(AccuracyError):
+            meijer_g(spec, 1e4)
+
+    def test_no_saddle_refused(self):
+        # 1/Gamma(0.1 + s) vanishes inside the strip, so the real integrand
+        # has no minimum to place the line at
+        spec = MeijerGSpec(2, 0, 1, 2, (0.1,), (5.0, 6.0))
+        with pytest.raises(AccuracyError):
+            meijer_g(spec, 1.0)
