@@ -22,6 +22,10 @@ line sits at the saddle of the real integrand, the step follows from the
 pole-free strip around it, and the sum on twice the step, taken from the same
 nodes, gives the error estimate.  Coincident parameters only merge poles off
 the line, so they need no special treatment.
+
+Closing the line of F to the left picks up the residues of -x^-s E[Z^s] / s;
+z_cdf_asymptotic sums those nearest the origin, each by the trapezoidal rule
+on a circle.
 """
 
 from __future__ import annotations
@@ -37,11 +41,9 @@ from .specfun import (
     AccuracyError,
     DegenerateParametersError,
     DomainError,
-    MeijerGSpec,
     _GUARD_REL,
     _degenerate_pairs,
     _mb_integral,
-    build_slater_expansion,
 )
 
 __all__ = [
@@ -63,10 +65,13 @@ __all__ = [
 _GUARD_REL_PDF = 2e-3
 _GUARD_ABS = 1e-9
 
-# z_cdf_asymptotic integrates pointing factors with xi at least this large
-# out of the residue sum: their gamma-ratio coefficients overflow near
-# xi ~ 170, and their own x^xi terms are negligible against x^b_min.
-_ASYMPTOTIC_XI = 64.0
+# z_cdf_asymptotic: the refusal guard on its error estimate, relative; the
+# agreement of a residue's sums on n and n/2 nodes, relative to the mean term,
+# and the node counts n tried; how far past the first gamma pole to search.
+_ASYMPTOTE_TOL = 1e-2
+_RESIDUE_TOL = 1e-13
+_RESIDUE_NODES = 64 << np.arange(9)
+_CLUSTER_DEPTH = 32.0
 
 # sample_z draws each factor through a buffer of this many variates, so a
 # draw of n values holds one n-array and one block, not a temporary per
@@ -145,31 +150,6 @@ class CompositeProduct:
         )
 
     @property
-    def a_tuple(self):
-        """Upper-parameter tuple [1, xi_1 + 1, .., xi_L + 1]."""
-        return tuple([1.0] + [p.xi + 1.0 for p in self.pe_links])
-
-    @property
-    def rate_scale(self):
-        """Maps x to the Meijer argument: prod(ab/Omega) / prod(A_o)."""
-        s = 1.0
-        for g in self.gg_links:
-            s *= g.alpha * g.beta / g.omega
-        for p in self.pe_links:
-            s /= p.a_o
-        return s
-
-    @property
-    def prefactor(self):
-        """prod(xi) / prod(Gamma(alpha) Gamma(beta)) in front of both G's."""
-        logc = 0.0
-        for g in self.gg_links:
-            logc -= math.lgamma(g.alpha) + math.lgamma(g.beta)
-        for p in self.pe_links:
-            logc += math.log(p.xi)
-        return math.exp(logc)
-
-    @property
     def is_degenerate(self):
         """True when the exponent tuple has an integer-separated pair."""
         return bool(_degenerate_pairs(self.b_tuple))
@@ -185,11 +165,6 @@ class CompositeProduct:
         if times < 1:
             raise DomainError("need at least one copy")
         return CompositeProduct(self.gg_links * times, self.pe_links * times)
-
-
-def _cdf_spec(ch: CompositeProduct) -> MeijerGSpec:
-    q = 2 * ch.n + ch.l + 1
-    return MeijerGSpec(q - 1, 1, ch.l + 1, q, ch.a_tuple, ch.b_tuple + (0.0,))
 
 
 class _MellinLaw:
@@ -313,42 +288,73 @@ def z_pdf(ch: CompositeProduct, x):
     return float(out[0]) if scalar else out
 
 
-def z_cdf_asymptotic(ch: CompositeProduct, x):
-    """Small-x limit of the CDF: the finite sum of x^(B_i) residue terms.
+def _pole_clusters(law: _MellinLaw, rho):
+    """Poles of E[Z^s], at -(shape + k) for k >= 0 and at -xi, chained where
+    neighbours lie closer than rho: (the clusters reaching the strip
+    Re s >= -(b_min + 1), the next two).  The search starts past the first
+    gamma poles and deepens until no pole past it can chain into those."""
+    for depth in law.shapes.min() + np.arange(3.0, _CLUSTER_DEPTH, 2.0):
+        poles = np.sort(np.concatenate([-(b + np.arange(depth - b)) for b in law.shapes]
+                                       + [-law.xis[law.xis < depth]]))[::-1]
+        clusters = np.split(poles, np.flatnonzero(poles[:-1] - poles[1:] >= rho) + 1)
+        if clusters[-1][-1] + depth < rho:
+            clusters.pop()  # it may go on past the depth
+        kept = sum(c[0] >= -(law.b_min + 1.0) for c in clusters)
+        if len(clusters) >= kept + 2:
+            return clusters[:kept], clusters[kept:kept + 2]
+    raise AccuracyError(f"poles of E[Z^s] too dense to part {rho:.3g} apart")
 
-    Requires an exponent tuple free of integer separations; for coincident
-    parameters use the exact z_cdf instead.  A pointing factor with
-    xi >= 64 multiplies each term c_i x^(b_i) of the others by its exact
-    moment E[l^(-b_i)] = A_o^(-b_i) xi / (xi - b_i).
-    """
-    xx, scalar = _as_array(x, allow_zero=True)
-    big = [p for p in ch.pe_links if p.xi >= _ASYMPTOTIC_XI]
-    rest = CompositeProduct(ch.gg_links,
-                            tuple(p for p in ch.pe_links if p.xi < _ASYMPTOTIC_XI))
-    try:
-        expansion = build_slater_expansion(_cdf_spec(rest))
-    except DegenerateParametersError:
-        raise DegenerateParametersError(
-            "exponent tuple has integer-separated entries; the power-law "
-            "limit does not apply, use z_cdf"
-        ) from None
-    z = xx * rest.rate_scale
-    out = np.zeros_like(z)
-    pos = z > 0
-    zp = z[pos]
-    acc = np.zeros_like(zp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for term in expansion.terms:
-            coeff = term.coefficient
-            for p in big:
-                coeff *= np.power(p.a_o, -term.exponent) * p.xi / (p.xi - term.exponent)
-            acc += coeff * np.power(zp, term.exponent)
-        out[pos] = acc * rest.prefactor
-    if rest.prefactor == 0.0 or not np.all(np.isfinite(out)):
+
+def _cluster_residue(law: _MellinLaw, lx, cluster, rho):
+    """Residue of -x^-s E[Z^s] / s at a pole cluster, ln x = lx, by the
+    trapezoidal rule in log space on a circle that clears it by rho / 2, the
+    nodes doubling from 64 until the sum on every other node agrees:
+    (log scale, value, mean term magnitude), the last two in e^(log scale)."""
+    mid, r = 0.5 * (cluster[0] + cluster[-1]), 0.5 * (cluster[0] - cluster[-1] + rho)
+    for n in _RESIDUE_NODES:
+        z = r * np.exp(2j * math.pi / n * np.arange(n))
+        logv = law.log_moment(mid + z) - (mid + z) * lx - np.log(-mid - z) + np.log(z)
+        top = float(logv.real.max())
+        v = np.exp(logv - top)
+        full, mass = v.mean(), np.abs(v).mean()
+        if abs(full - v[::2].mean()) <= _RESIDUE_TOL * mass:
+            return top, full.real, mass
+    raise AccuracyError(f"residue near s = {cluster[0]:.6g} needs more than "
+                        f"{_RESIDUE_NODES[-1]} nodes (ln x = {lx:.6g})")
+
+
+def _asymptote_at(law: _MellinLaw, x):
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        raise AccuracyError("the power-law CDF limit does not hold at x = inf; use z_cdf")
+    lx = math.log(x)
+    # x^-s varies by at most e^(+-1) on a circle of radius rho; rho <= b_min
+    # keeps the pole of 1/s at the origin out of every circle.
+    rho = min(1.0 / max(1.0, abs(lx)), law.b_min)
+    kept, omitted = _pole_clusters(law, rho)
+    t, v, m = np.array([_cluster_residue(law, lx, c, rho) for c in kept + omitted]).T
+    w, k = np.exp(t - t.max()), len(kept)
+    val = w[:k] @ v[:k]
+    err = _RESIDUE_TOL * (w[:k] @ m[:k]) + w[k:] @ np.abs(v[k:])
+    log_val = t.max() + math.log(val) if val > 0.0 else math.nan
+    if not (err <= _ASYMPTOTE_TOL * val and log_val <= 0.0):
         raise AccuracyError(
-            "power-law CDF limit is out of double range here (residue "
-            "coefficients overflow or the prefactor underflows); use z_cdf"
-        )
+            f"power-law CDF limit does not hold at x={x:g} (next residues "
+            f"{err:.1e} against a strip sum of {val:.3e}); use z_cdf")
+    return math.exp(log_val)
+
+
+def z_cdf_asymptotic(ch: CompositeProduct, x):
+    """Small-x limit of the CDF (scalar or array): the residues of
+    -x^-s E[Z^s] / s in the strip -(b_min + 1) <= Re s < 0.  Poles closer
+    than 1 / max(1, |ln x|) share a circle, so coincident parameters give
+    the x^b (ln 1/x)^k terms of a multiple pole.  The next two clusters'
+    residues estimate the error; beyond 1e-2 of the value, or for a limit
+    above 1, it raises AccuracyError (use z_cdf there)."""
+    xx, scalar = _as_array(x, allow_zero=True)
+    law = ch._law
+    out = np.array([_asymptote_at(law, v) for v in xx.flat]).reshape(xx.shape)
     return float(out[0]) if scalar else out
 
 

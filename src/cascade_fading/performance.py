@@ -69,7 +69,7 @@ def op_fso_cascade_asymptotic(ch: CompositeProduct, snr_ratio):
     if snr_ratio <= 0:
         raise DomainError("snr_ratio must be positive")
     p = z_cdf_asymptotic(ch, math.sqrt(1.0 / snr_ratio))
-    return OutageResult(_clip01(p), "asymptotic", "clean")
+    return OutageResult(_clip01(p), "asymptotic", _flag(ch))
 
 
 def diversity_order(ch: CompositeProduct):

@@ -20,9 +20,10 @@ follows from the pole-free strip around it, and the sum on twice the step,
 taken from the same nodes, gives the error estimate.
 
 Slater's theorem (Gradshteyn & Ryzhik 9.303) writes the same G as a finite
-sum of pFq series weighted by gamma ratios.  That form is kept only where
-it is the point: `pfq` sums the series, and `build_slater_expansion` gives
-the leading powers behind the small-x asymptote of the CDF.
+sum of pFq series weighted by gamma ratios.  `build_slater_expansion` gives
+those terms and `pfq` sums each series; no other evaluation in the package
+runs on them (the small-x asymptote of the CDF takes its residues from the
+Mellin transform in `distributions`).
 """
 
 from __future__ import annotations
@@ -250,14 +251,12 @@ class SlaterTerm:
     coefficient: float
     a_params: tuple
     b_params: tuple
-    index: int = 0
 
 
 @dataclass(frozen=True)
 class SlaterExpansion:
     terms: tuple
     argument_sign: float
-    spec: "MeijerGSpec | None" = None
 
 
 def _degenerate_pairs(values):
@@ -290,13 +289,8 @@ def build_slater_expansion(spec: MeijerGSpec) -> SlaterExpansion:
         bh = spec.b[h]
         coeff = 1.0
         for j in range(m):
-            if j != h:
-                d = spec.b[j] - bh
-                if d <= 0 and abs(d - round(d)) < _DEGENERACY_TOL:
-                    raise DegenerateParametersError(
-                        f"pole in coefficient gamma({d}) for term {h}"
-                    )
-                coeff *= float(sp.gamma(d))
+            if j != h:  # no pole: the pairs are checked above
+                coeff *= float(sp.gamma(spec.b[j] - bh))
         for j in range(n):
             u = 1.0 + bh - spec.a[j]
             if u <= 0 and abs(u - round(u)) < _DEGENERACY_TOL:
@@ -310,8 +304,8 @@ def build_slater_expansion(spec: MeijerGSpec) -> SlaterExpansion:
             coeff *= float(sp.rgamma(1.0 + bh - spec.b[j]))
         a_params = tuple(1.0 + bh - aj for aj in spec.a)
         b_params = tuple(1.0 + bh - spec.b[j] for j in range(q) if j != h)
-        terms.append(SlaterTerm(bh, coeff, a_params, b_params, h))
-    return SlaterExpansion(tuple(terms), spec.argument_sign, spec)
+        terms.append(SlaterTerm(bh, coeff, a_params, b_params))
+    return SlaterExpansion(tuple(terms), spec.argument_sign)
 
 
 def _saddle(kern, lx, lo, hi, c, pole):
@@ -443,8 +437,6 @@ class MeijerGValue:
     value: float
     accuracy: str  # "clean" | "perturbed"
     est_abs_err: float
-
-
 
 
 def meijer_g(spec: MeijerGSpec, x):

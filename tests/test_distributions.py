@@ -6,6 +6,7 @@ import gc
 import math
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,9 @@ from cascade_fading.specfun import (
     AccuracyError,
     DegenerateParametersError,
     DomainError,
+    MeijerGSpec,
     bessel_k,
+    build_slater_expansion,
 )
 
 WEAK = GammaGammaParams(10.02, 2.98)
@@ -41,6 +44,7 @@ PE_B = PointingErrorParams(5.1, 0.9)
 MIXED_11 = CompositeProduct((WEAK,), (PE_A,))
 MIXED_21 = CompositeProduct((WEAK, STRONG), (PE_A,))
 MIXED_22 = CompositeProduct((WEAK, STRONG), (PE_A, PE_B))
+WS = CompositeProduct((WEAK, STRONG))
 
 
 class TestGammaGammaPdf:
@@ -164,7 +168,6 @@ class TestZ2:
 class TestComposite:
     def test_tuples(self):
         assert MIXED_21.b_tuple == (4.942, 10.02, 1.231, 2.98, 6.7)
-        assert MIXED_21.a_tuple == (1.0, 7.7)
 
     def test_link_order_is_canonical(self):
         a = CompositeProduct((WEAK, STRONG), (PE_A, PE_B))
@@ -338,14 +341,57 @@ class TestAsymptote:
         assert (z_cdf_asymptotic(MIXED_21, x) / z_cdf(MIXED_21, x)
                 == pytest.approx(1.0, abs=0.02))
 
-    def test_degenerate_tuple_rejected(self):
-        with pytest.raises(DegenerateParametersError):
-            z_cdf_asymptotic(CompositeProduct((WEAK, WEAK)), 1e-3)
+    def test_coincident_weak_pair(self):
+        # the double poles at -2.98 and -3.98 give x^b (ln 1/x) terms
+        ch = CompositeProduct((WEAK, WEAK))
+        assert z_cdf_asymptotic(ch, 1e-4) / z_cdf(ch, 1e-4) == pytest.approx(1.0, abs=0.01)
+        assert z_cdf_asymptotic(ch, 1e-6) / z_cdf(ch, 1e-6) == pytest.approx(1.0, rel=1e-6)
+
+    def test_coincident_weak_triple_with_pointing(self):
+        ch = CompositeProduct((WEAK, WEAK, WEAK), (PE_A,))
+        assert z_cdf_asymptotic(ch, 1e-4) / z_cdf(ch, 1e-4) == pytest.approx(1.0, abs=0.01)
+        assert z_cdf_asymptotic(ch, 1e-6) / z_cdf(ch, 1e-6) == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("ch", [CompositeProduct((WEAK, WEAK)),
+                                    CompositeProduct((WEAK, WEAK, WEAK), (PE_A,))],
+                             ids=["weak2", "weak3_pe"])
+    def test_coincident_against_mpmath(self, ch):
+        # the paper's closed form by mpmath's hypergeometric series
+        assert z_cdf_asymptotic(ch, 1e-6) == pytest.approx(_mpmath_cdf(ch, 1e-6), rel=1e-6)
+
+    def test_pointing_pole_far_from_gamma_poles(self):
+        # the strip holds only -xi; the next clusters start 38 units left
+        ch = CompositeProduct((GammaGammaParams(40.0, 50.0),), (PointingErrorParams(1.2, 0.8),))
+        for x in (1e-2, 1e-4):
+            assert z_cdf_asymptotic(ch, x) / z_cdf(ch, x) == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("ch", [MIXED_21, WS], ids=["mixed21", "ws"])
+    def test_matches_truncated_slater_series(self, ch):
+        for x in (1e-6, 1e-4):
+            assert z_cdf_asymptotic(ch, x) == pytest.approx(_strip_slater(ch, x), rel=1e-12)
+
+    def test_near_coincident_pairs_are_continuous(self):
+        # F itself moves by 3e-3 between delta = 0 and 1e-3, so the pin is
+        # on the ratio to z_cdf: no refusal and no jump as the poles part
+        x = 1e-4
+        ratios = []
+        for delta in (0.0, 1e-9, 1e-7, 1e-5, 1e-3):
+            ch = CompositeProduct((GammaGammaParams(10.02 + delta, 2.98 + delta), WEAK))
+            ratios.append(z_cdf_asymptotic(ch, x) / z_cdf(ch, x))
+        assert ratios == pytest.approx([ratios[0]] * 5, rel=1e-6)
+
+    def test_array_matches_scalar_bitwise(self):
+        ch = CompositeProduct((WEAK, WEAK, WEAK), (PE_A,))
+        xs = np.array([0.0, 1e-6, 1e-5, 1e-4])
+        vec = z_cdf_asymptotic(ch, xs)
+        assert z_cdf_asymptotic(ch, 0.0) == 0.0
+        for x, v in zip(xs, vec):
+            assert z_cdf_asymptotic(ch, float(x)) == v
 
     @pytest.mark.parametrize("x,exact", [(0.05, 6.7e-15), (0.1, 1.0e-9), (0.2, 1.2e-5)])
     def test_out_of_double_range_refuses(self, x, exact):
-        # the residue coefficients overflow and the prefactor underflows to
-        # 0.0, so the sum came out as nan without a refusal
+        # the next poles lie one unit or less past the strip, so at these x
+        # the residues left out are as large as the sum kept
         ch = CompositeProduct((GammaGammaParams(60.1, 40.3), GammaGammaParams(61.7, 40.9),
                                GammaGammaParams(62.35, 41.45)))
         with pytest.raises(AccuracyError):
@@ -353,10 +399,67 @@ class TestAsymptote:
         assert z_cdf(ch, x) == pytest.approx(exact, rel=0.05)
 
     def test_pointing_moment_overflow_refuses(self):
-        # A_o^(-b_i) of a xi >= 64 factor overflows a double
+        # x is 1e197 times the scale A_o of Z, far outside the power-law
+        # regime: the residues grow past the strip (the sum is taken in log
+        # space, so nothing overflows)
         ch = CompositeProduct((GammaGammaParams(3.3, 1.7),), (PointingErrorParams(200.1, 1e-200),))
         with pytest.raises(AccuracyError):
             z_cdf_asymptotic(ch, 1e-3)
+
+
+def _cdf_meijer_form(ch):
+    """(C, R, spec) with F(x) = C G(R x | spec), the paper's closed form."""
+    q = 2 * ch.n + ch.l + 1
+    upper = (1.0,) + tuple(p.xi + 1.0 for p in ch.pe_links)
+    spec = MeijerGSpec(q - 1, 1, ch.l + 1, q, upper, ch.b_tuple + (0.0,))
+    rate = math.prod(g.alpha * g.beta / g.omega for g in ch.gg_links)
+    rate /= math.prod(p.a_o for p in ch.pe_links)
+    log_c = (sum(math.log(p.xi) for p in ch.pe_links)
+             - sum(math.lgamma(g.alpha) + math.lgamma(g.beta) for g in ch.gg_links))
+    return math.exp(log_c), rate, spec
+
+
+def _mpmath_cdf(ch, x):
+    """F(x) from mpmath.meijerg at 30 digits."""
+    c, rate, spec = _cdf_meijer_form(ch)
+    with mpmath.workdps(30):
+        return float(c * mpmath.meijerg([spec.a[:1], spec.a[1:]],
+                                        [spec.b[:-1], spec.b[-1:]], x * rate))
+
+
+def _strip_slater(ch, x):
+    """The CDF's Slater series cut to the powers x^(b + k) with
+    b + k <= b_min + 1: each term of build_slater_expansion times the pFq
+    series of its parameters, summed by the term recurrence."""
+    c, rate, spec = _cdf_meijer_form(ch)
+    expansion = build_slater_expansion(spec)
+    z = x * rate
+    edge = min(ch.b_tuple) + 1.0
+    total = 0.0
+    for t in expansion.terms:
+        term, k = t.coefficient * z**t.exponent, 0
+        while t.exponent + k <= edge:
+            total += term
+            term *= (math.prod(a + k for a in t.a_params) / math.prod(b + k for b in t.b_params)
+                     * expansion.argument_sign * z / (k + 1))
+            k += 1
+    return c * total
+
+
+class TestAsymptoteProperties:
+    @given(_products())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_refuses_or_matches_exact(self, ch):
+        # x at low quantiles of an independent sample of the law, and below
+        q = np.quantile(sample_z(ch, np.random.default_rng(5), 20_000), [1e-3, 1e-2, 0.1])
+        for x in (q[0] * 1e-3, *q):
+            try:
+                exact = z_cdf(ch, x)
+                approx = z_cdf_asymptotic(ch, x)
+            except AccuracyError:
+                continue
+            assert math.isfinite(approx)
+            assert abs(approx / exact - 1.0) <= 2e-2, (x, approx, exact)
 
 
 class TestSampling:

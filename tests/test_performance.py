@@ -87,6 +87,11 @@ class TestAsymptote:
         assert asym == pytest.approx(exact, rel=0.05)
         assert op_fso_cascade_asymptotic(WS, r).method == "asymptotic"
 
+    def test_flag_follows_channel(self):
+        # coincident parameters now get a value, flagged like op_fso_cascade
+        assert op_fso_cascade_asymptotic(WW, db(80)).accuracy_flag == "perturbed"
+        assert op_fso_cascade_asymptotic(WS, db(80)).accuracy_flag == "clean"
+
     def test_slope_equals_min_exponent(self):
         lo, hi = db(70), db(80)
         p_lo = op_fso_cascade_asymptotic(WS, lo).probability
@@ -95,6 +100,8 @@ class TestAsymptote:
         assert slope == pytest.approx(-min(WS.b_tuple) / 2.0, rel=1e-3)
 
     def test_out_of_double_range_refuses(self):
+        # three links with shapes ~60 and ~40: at x = 0.1 the residues past
+        # the strip are as large as those in it
         ch = CompositeProduct((GammaGammaParams(60.1, 40.3), GammaGammaParams(61.7, 40.9),
                                GammaGammaParams(62.35, 41.45)))
         with pytest.raises(AccuracyError):

@@ -227,10 +227,16 @@ class TestSlaterExpansion:
         assert all(math.isfinite(t.coefficient) for t in exp.terms)
 
     def test_expansion_matches_perturbed_path(self):
-        # Slater path against the epsilon-perturbation fallback of a nearby
-        # degenerate spec, at several arguments
+        # G rebuilt from its Slater terms, sum coeff x^b pFq(a'; b'; sign x),
+        # against mpmath; meijer_g stays finite on the spec and on a
+        # neighbour with an integer-separated pair, which it flags
         clean = MeijerGSpec(3, 1, 2, 4, (1.0, 7.7), (4.94, 1.23, 6.7, 0.0))
+        exp = build_slater_expansion(clean)
         for x in (0.1, 1.0, 10.0):
+            rebuilt = sum(t.coefficient * x**t.exponent
+                          * pfq(t.a_params, t.b_params, exp.argument_sign * x)[0]
+                          for t in exp.terms)
+            assert rebuilt == pytest.approx(_mpmath_meijer_g(clean, x), rel=1e-10)
             direct = meijer_g(clean, x)
             near = MeijerGSpec(3, 1, 2, 4, (1.0, 7.7), (4.94, 4.94 - 3.0, 6.7, 0.0))
             pert = meijer_g(near, x)
@@ -238,7 +244,8 @@ class TestSlaterExpansion:
             assert math.isfinite(direct.value) and math.isfinite(pert.value)
 
     def test_slater_vs_fallback_on_log_grid(self):
-        # where both paths are flagged accurate they agree tightly
+        # meijer_g against the Bessel identity
+        # G^{2,0}_{0,2}(x | a, b) = 2 x^((a+b)/2) K_(a-b)(2 sqrt x)
         spec = MeijerGSpec(2, 0, 0, 2, (), (5.2, 2.17))
         grid = np.exp(np.linspace(math.log(1e-4), math.log(50.0), 25))
         for x in grid:
