@@ -507,10 +507,11 @@ def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
     """Run the configured sweep; returns (csv_text, flagged_points).
 
     Points whose evaluation refuses are flagged; a point outside the domain
-    of the channel physics raises ConfigError naming its sweep value.  In
-    Monte Carlo mode the points that share a channel law are tallied on one
-    set of draws; each point's estimate equals that of a call for the point
-    alone with the same seed.  A seed or sample count that Monte Carlo
+    of the channel physics raises ConfigError naming its sweep value.  The
+    points that share a channel law share one channel object, so its Mellin
+    transform is built once per sweep.  In Monte Carlo mode they are tallied
+    on one set of draws; each point's estimate equals that of a call for the
+    point alone with the same seed.  A seed or sample count that Monte Carlo
     cannot use raises ConfigError naming its flag before any point runs.
     """
     if mode in ("mc", "both"):
@@ -525,12 +526,13 @@ def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
     def domain_error(value, exc):
         return ConfigError("sweep", cfg.sweep.variable, f"sweep_value={value:g}: {exc}")
 
-    points = []
+    points, laws = [], {}
     for value in grid:
         try:
-            points.append(_resolve_point(_apply_sweep(cfg, value)))
+            law, thresholds = _resolve_point(_apply_sweep(cfg, value))
         except DomainError as exc:
             raise domain_error(value, exc) from exc
+        points.append((laws.setdefault(law, law), thresholds))
 
     analytic_op, mc_op = _operators(cfg.scenario)
     rows = [{"op_analytic": "", "op_mc": "", "mc_stderr": "",

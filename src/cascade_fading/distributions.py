@@ -170,11 +170,17 @@ class CompositeProduct:
 class _MellinLaw:
     """log E[Z^s] = s log_scale + log_norm + sum lnGamma(shape + s)
     - sum ln(xi + s), with its real slices used to place a line: the kernel
-    that specfun._mb_integral integrates."""
+    that specfun._mb_integral integrates.  Complex lnGamma is taken once per
+    distinct shape (identical links repeat them) and gathered back to every
+    shape's row, so the sum over shapes is that over all rows bit for bit;
+    without pointing factors their terms are skipped."""
 
     def __init__(self, ch: CompositeProduct):
-        self.shapes = np.array([g.alpha for g in ch.gg_links]
-                               + [g.beta for g in ch.gg_links])
+        shapes = [g.alpha for g in ch.gg_links] + [g.beta for g in ch.gg_links]
+        distinct = list(dict.fromkeys(shapes))
+        self.shapes = np.array(shapes)
+        self.distinct = np.array(distinct)
+        self.rows = np.array([distinct.index(b) for b in shapes])
         self.xis = np.array([p.xi for p in ch.pe_links])
         self.log_scale = (sum(math.log(g.omega / (g.alpha * g.beta)) for g in ch.gg_links)
                           + sum(math.log(p.a_o) for p in ch.pe_links))
@@ -188,20 +194,25 @@ class _MellinLaw:
     def log_moment(self, s):
         """log E[Z^s] on the complex array s."""
         out = s * self.log_scale + self.log_norm
-        out = out + sp.loggamma(self.shapes[:, None] + s).sum(axis=0)
-        return out - np.log(self.xis[:, None] + s).sum(axis=0)
+        out = out + sp.loggamma(self.distinct[:, None] + s)[self.rows].sum(axis=0)
+        if self.xis.size:
+            out = out - np.log(self.xis[:, None] + s).sum(axis=0)
+        return out
 
     def log_size(self, c, lx, pole):
         """log of the real integrand x^-c E[Z^c] (over |c| when pole)."""
-        v = (c * (self.log_scale - lx) + self.log_norm
-             + sp.gammaln(self.shapes + c).sum() - np.log(self.xis + c).sum())
+        v = c * (self.log_scale - lx) + self.log_norm + sp.gammaln(self.shapes + c).sum()
+        if self.xis.size:
+            v = v - np.log(self.xis + c).sum()
         return float(v) - (math.log(abs(c)) if pole else 0.0)
 
     def slopes(self, c, lx, pole):
         """First and second derivative of log_size in c."""
-        g = (self.log_scale - lx + sp.digamma(self.shapes + c).sum()
-             - (1.0 / (self.xis + c)).sum())
-        g2 = sp.zeta(2.0, self.shapes + c).sum() + ((self.xis + c) ** -2.0).sum()
+        args = self.shapes + c
+        g = self.log_scale - lx + sp.digamma(args).sum()
+        g2 = sp.zeta(2.0, args).sum()
+        if self.xis.size:
+            g, g2 = g - (1.0 / (self.xis + c)).sum(), g2 + ((self.xis + c) ** -2.0).sum()
         if pole:
             g, g2 = g - 1.0 / c, g2 + 1.0 / (c * c)
         return float(g), float(g2)

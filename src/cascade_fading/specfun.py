@@ -29,6 +29,7 @@ Mellin transform in `distributions`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,22 @@ _TERM_EPS = 1e-13
 _GUARD_REL = 3e-4
 
 # Target size of the discretization and truncation errors of a line
-# integral, relative to the integrand's peak on the line; the node count
-# beyond which an evaluation refuses; the iteration cap of the saddle search.
+# integral, relative to the integrand's peak on the line; the half-width of
+# the trapezoidal rule's strip, as a fraction of the distance from the line
+# to the nearest pole; the node count beyond which an evaluation refuses;
+# the iteration cap of the saddle search.
 _MB_TOL = 1e-17
+_MB_STRIP = 0.9
 _MB_MAX_NODES = 1 << 17
 _SADDLE_ITERS = 100
+
+# Log of the integrand's peak on the line below which a line integral is
+# zero in double precision.  The integrand is largest on the real axis (the
+# premise of the node floor), so the integral is at most e^peak times a width
+# below the largest double (for Z, two factors |Gamma(sigma + it)| <=
+# Gamma(sigma) / sqrt(1 + t^2 / sigma^2) bound it by e^peak sigma_max / 2),
+# and stays below 2^-1075 even after the density's division by x = 2^-1074.
+_MB_LOG_ZERO = -2149 * math.log(2.0) - math.log(sys.float_info.max)
 
 
 class DomainError(ValueError):
@@ -337,22 +349,31 @@ def _mb_integral(kern, lx, lo, hi, c, pole):
     log(x^-c M(c) / |c|^pole) and its first two derivatives in c
     (`log_size`, `slopes`), and the poles next to the strip (`poles`).  The
     Newton search starts from c.  Every quantity depends on (kernel, lx)
-    alone, so scalar and array callers agree bit for bit.
+    alone, so scalar and array callers agree bit for bit.  Where the peak on
+    the line proves the value zero in double precision (_MB_LOG_ZERO), it is
+    returned without nodes.
     """
     c, curv = _saddle(kern, lx, lo, hi, c, pole)
     if not curv > 0.0:
         raise AccuracyError(
             f"Mellin-Barnes integrand has no saddle on a line (ln x = {lx:.6g})")
-    poles = np.append(kern.poles, 0.0) if pole else kern.poles
     peak = kern.log_size(c, lx, pole)
+    if peak < _MB_LOG_ZERO:
+        # Far out the saddle line has no digits left to size a step from,
+        # and the value is zero anyway: signed as the integrand at the peak.
+        return (math.copysign(0.0, c) if pole else 0.0), 0.0
+    poles = np.append(kern.poles, 0.0) if pole else kern.poles
     # The integrand is analytic in the strip |Re s - c| < a and bounded there
     # by its real value at c +- a, so the discretization error falls like
-    # exp(-2 pi a / h) times that bound.  a stays half-way to the nearest
-    # pole, and no wider than where the bound grows by 1/_MB_TOL through the
-    # curvature at the saddle (wider strips only lengthen the sum).
+    # exp(-2 pi a / h) times that bound; the node count grows like
+    # (edge - peak + budget) / a.  Any a short of the nearest pole is valid,
+    # and edge - peak grows only like ln(1 / (1 - a / d)) at distance d, so a
+    # reaches _MB_STRIP of the way to the pole.  It grows no wider than where
+    # the bound grows by 1/_MB_TOL through the curvature at the saddle (wider
+    # strips only lengthen the sum).
     budget = 1.0 - math.log(_MB_TOL)
     width = math.sqrt(2.0 * budget / curv)
-    a = min(0.5 * float(np.min(np.abs(c - poles))), width)
+    a = min(_MB_STRIP * float(np.min(np.abs(c - poles))), width)
     edge = max(kern.log_size(c - a, lx, pole), kern.log_size(c + a, lx, pole))
     h = 2.0 * math.pi * a / (edge - peak + budget)
     # |integrand| decreases in |t|: add nodes until it drops below the floor.

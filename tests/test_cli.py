@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cascade_fading import mc, performance
+from cascade_fading import cli, distributions, mc, performance
 from cascade_fading.cli import (
     CSV_HEADER,
     ConfigError,
@@ -219,6 +219,29 @@ class TestRun:
         assert not flagged
         assert text == expected
         assert calls == [20000] * cfg.transceiver.branches
+
+    @pytest.mark.parametrize("name", ["fig3_weak_strong", "fig4_weak_n3", "fig13_worst"])
+    def test_shared_channel_law_built_once(self, name, monkeypatch):
+        # the points share one channel object, so its Mellin transform is
+        # built once per sweep; each value is that of a fresh channel
+        cfg = parse_config(recipe_path(name))
+        analytic_op, _ = cli._operators(cfg.scenario)
+        expected = []
+        for v in cfg.sweep.grid():
+            law, thresholds = cli._resolve_point(cli._apply_sweep(cfg, v))
+            expected.append(format(analytic_op(*law, *thresholds).probability, ".12g"))
+        builds = []
+        inner = distributions._MellinLaw.__init__
+
+        def init(law, ch):
+            builds.append(ch)
+            inner(law, ch)
+
+        monkeypatch.setattr(distributions._MellinLaw, "__init__", init)
+        text, flagged = run(cfg)
+        assert not flagged
+        assert [r.split(",")[1] for r in text.strip().split("\n")[1:]] == expected
+        assert len(builds) == 1
 
     def test_changing_channel_tallied_per_point(self, monkeypatch):
         cfg = _fig_recipes()["fig5"]
