@@ -18,10 +18,12 @@ With s = c + i t on a vertical line,
 The integrand decays like exp(-N pi |t|), so the trapezoidal rule converges
 exponentially in the step (Trefethen & Weideman, SIAM Rev. 56, 2014).  The
 rule is specfun's Mellin-Barnes engine, which also evaluates meijer_g: the
-line sits at the saddle of the real integrand, the step follows from the
-pole-free strip around it, and the sum on twice the step, taken from the same
-nodes, gives the error estimate.  Coincident parameters only merge poles off
-the line, so they need no special treatment.
+line sits at the saddle of the real integrand, and the nodes t = w sinh(u)
+lie evenly in u, fine across the peak and sparse along the 1/t shoulder that
+a nearby pole gives the deep outage tail.  The step follows from the
+pole-free strip around the line, and the sum on twice the step, taken from
+the same nodes, gives the error estimate.  Coincident parameters only merge
+poles off the line, so they need no special treatment.
 
 Closing the line of F to the left picks up the residues of -x^-s E[Z^s] / s;
 z_cdf_asymptotic sums those nearest the origin, each by the trapezoidal rule
@@ -160,11 +162,20 @@ class CompositeProduct:
         and kept for the life of the channel."""
         return _MellinLaw(self)
 
+    @cached_property
+    def _replicas(self):
+        return {}
+
     def replicated(self, times):
-        """Product law of `times` independent copies multiplied together."""
+        """Product law of `times` independent copies multiplied together,
+        built once per count and kept for the life of the channel, so a
+        sweep over one channel builds one Mellin transform."""
         if times < 1:
             raise DomainError("need at least one copy")
-        return CompositeProduct(self.gg_links * times, self.pe_links * times)
+        if times not in self._replicas:
+            self._replicas[times] = CompositeProduct(self.gg_links * times,
+                                                     self.pe_links * times)
+        return self._replicas[times]
 
 
 class _MellinLaw:
@@ -187,6 +198,8 @@ class _MellinLaw:
         self.log_norm = float(np.sum(np.log(self.xis)) - np.sum(sp.gammaln(self.shapes)))
         self.poles = -np.concatenate((self.shapes, self.xis))
         self.b_min = -float(np.max(self.poles))
+        # |E[Z^(c + it)]| falls like exp(-N pi |t|)
+        self.decay = math.pi * ch.n
         # E[ln Z], the slope of log E[Z^s] at s = 0
         self.mean_log = float(self.log_scale + np.sum(sp.digamma(self.shapes))
                               - np.sum(1.0 / self.xis))
@@ -320,11 +333,16 @@ def _cluster_residue(law: _MellinLaw, lx, cluster, rho):
     """Residue of -x^-s E[Z^s] / s at a pole cluster, ln x = lx, by the
     trapezoidal rule in log space on a circle that clears it by rho / 2, the
     nodes doubling from 64 until the sum on every other node agrees:
-    (log scale, value, mean term magnitude), the last two in e^(log scale)."""
+    (log scale, value, mean term magnitude), the last two in e^(log scale).
+    The previous circle's nodes are the even ones of the next, so a doubling
+    evaluates only the new odd ones."""
     mid, r = 0.5 * (cluster[0] + cluster[-1]), 0.5 * (cluster[0] - cluster[-1] + rho)
+    logv = None
     for n in _RESIDUE_NODES:
-        z = r * np.exp(2j * math.pi / n * np.arange(n))
-        logv = law.log_moment(mid + z) - (mid + z) * lx - np.log(-mid - z) + np.log(z)
+        k = np.arange(n) if logv is None else np.arange(1, n, 2)
+        z = r * np.exp(2j * math.pi / n * k)
+        new = law.log_moment(mid + z) - (mid + z) * lx - np.log(-mid - z) + np.log(z)
+        logv = new if logv is None else np.column_stack((logv, new)).ravel()
         top = float(logv.real.max())
         v = np.exp(logv - top)
         full, mass = v.mean(), np.abs(v).mean()

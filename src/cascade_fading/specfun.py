@@ -13,11 +13,13 @@ of Gamma(1-a_j-s).  `meijer_g` accepts the two structural families the
 product-channel closed forms use (m = q, n = 0 and m = q - 1, n = 1, both
 with p < q).  On a vertical line their integrand decays like
 exp(-(q-p) pi |t| / 2), so the trapezoidal rule converges exponentially
-(Trefethen & Weideman, SIAM Rev. 56, 2014).  `_mb_integral` is that rule,
-shared with the Mellin transform of the composite channel in
-`distributions`: the line sits at the saddle of the real integrand, the step
-follows from the pole-free strip around it, and the sum on twice the step,
-taken from the same nodes, gives the error estimate.
+(Trefethen & Weideman, SIAM Rev. 56, 2014), also after the change of
+variable t = w sinh(u).  `_mb_integral` is that rule, shared with the Mellin
+transform of the composite channel in `distributions`: the line sits at the
+saddle of the real integrand, the step follows from the pole-free strip
+around it, the map's angle from how fast the integrand grows across the line
+against how fast it falls up it, and the sum on twice the step, taken from
+the same nodes, gives the error estimate.
 
 Slater's theorem (Gradshteyn & Ryzhik 9.303) writes the same G as a finite
 sum of pFq series weighted by gamma ratios.  `build_slater_expansion` gives
@@ -74,10 +76,13 @@ _GUARD_REL = 3e-4
 # Target size of the discretization and truncation errors of a line
 # integral, relative to the integrand's peak on the line; the half-width of
 # the trapezoidal rule's strip, as a fraction of the distance from the line
-# to the nearest pole; the node count beyond which an evaluation refuses;
-# the iteration cap of the saddle search.
+# to the nearest pole; the share of the integrand's fall up the line that
+# its growth across the line may take along the edge of the sinh-mapped
+# strip (tan eta = _MB_ANGLE * fall / rise); the node count beyond which an
+# evaluation refuses; the iteration cap of the saddle search.
 _MB_TOL = 1e-17
 _MB_STRIP = 0.9
+_MB_ANGLE = 0.5
 _MB_MAX_NODES = 1 << 17
 _SADDLE_ITERS = 100
 
@@ -347,11 +352,27 @@ def _mb_integral(kern, lx, lo, hi, c, pole):
 
     The kernel gives log M on complex arrays (`log_moment`), the real slice
     log(x^-c M(c) / |c|^pole) and its first two derivatives in c
-    (`log_size`, `slopes`), and the poles next to the strip (`poles`).  The
+    (`log_size`, `slopes`), the poles next to the strip (`poles`), and the
+    rate at which |M(c + it)| falls in |t| far up the line (`decay`).  The
     Newton search starts from c.  Every quantity depends on (kernel, lx)
     alone, so scalar and array callers agree bit for bit.  Where the peak on
     the line proves the value zero in double precision (_MB_LOG_ZERO), it is
     returned without nodes.
+
+    The rule is the trapezoidal one in u, with t = w sinh(u): steps as fine
+    as a uniform rule's across the peak at t = 0, growing geometrically
+    along the shoulder, where the integrand near a pole falls like 1/t
+    before its exponential decay sets in.  The strip |Im u| < eta maps onto
+    a hyperbolic region that meets the real axis exactly on [c - a, c + a]
+    (w = a / sin eta), so the pole-free strip and the edge bound of a
+    uniform rule carry over with the step h = 2 pi eta / (edge - peak +
+    budget).  The region opens with height: at Im s = T its edge lies
+    sqrt(a^2 + T^2 tan^2 eta) off the line, where x^-s M(s) grows at the
+    rate d/dc log|integrand| and falls at the rate -d/dt log|integrand|.  Both
+    are read off one complex difference of log_moment across the strip at
+    the height where `decay` has spent the error budget, and tan eta is
+    _MB_ANGLE times their ratio, at most _MB_ANGLE (beyond eta = pi/4 a
+    Gaussian peak grows along the edge).
     """
     c, curv = _saddle(kern, lx, lo, hi, c, pole)
     if not curv > 0.0:
@@ -363,37 +384,57 @@ def _mb_integral(kern, lx, lo, hi, c, pole):
         # and the value is zero anyway: signed as the integrand at the peak.
         return (math.copysign(0.0, c) if pole else 0.0), 0.0
     poles = np.append(kern.poles, 0.0) if pole else kern.poles
-    # The integrand is analytic in the strip |Re s - c| < a and bounded there
-    # by its real value at c +- a, so the discretization error falls like
-    # exp(-2 pi a / h) times that bound; the node count grows like
-    # (edge - peak + budget) / a.  Any a short of the nearest pole is valid,
-    # and edge - peak grows only like ln(1 / (1 - a / d)) at distance d, so a
-    # reaches _MB_STRIP of the way to the pole.  It grows no wider than where
-    # the bound grows by 1/_MB_TOL through the curvature at the saddle (wider
-    # strips only lengthen the sum).
+
+    def log_integrand(s):
+        logv = kern.log_moment(s) - s * lx
+        return logv - np.log(s) if pole else logv
+
+    # The integrand is analytic in the region and bounded there by its real
+    # value at c +- a, so the discretization error falls like
+    # exp(-2 pi eta / h) times that bound; the node count grows like
+    # (edge - peak + budget) / eta.  Any a short of the nearest pole is
+    # valid, and edge - peak grows only like ln(1 / (1 - a / d)) at distance
+    # d, so a reaches _MB_STRIP of the way to the pole.  It grows no wider
+    # than where the bound grows by 1/_MB_TOL through the curvature at the
+    # saddle (wider strips only lengthen the sum).
     budget = 1.0 - math.log(_MB_TOL)
     width = math.sqrt(2.0 * budget / curv)
     a = min(_MB_STRIP * float(np.min(np.abs(c - poles))), width)
-    edge = max(kern.log_size(c - a, lx, pole), kern.log_size(c + a, lx, pole))
-    h = 2.0 * math.pi * a / (edge - peak + budget)
+    # the integrand at c -+ a on the real axis and at the height T where
+    # `decay` has spent the budget: across the strip at height T the real
+    # part of the change of its log is the growth across the line, the
+    # imaginary part (Cauchy-Riemann) the fall up it over the same distance
+    top = width + budget / kern.decay
+    logv = log_integrand(np.array([c - a, c + a, c - a + 1j * top, c + a + 1j * top]))
+    edge = float(logv.real[:2].max())
+    step = complex(logv[3] - logv[2])
+    rise, fall = abs(step.real), step.imag
+    if not fall > 0.0:
+        raise AccuracyError(
+            f"Mellin-Barnes integrand does not decay up the line (ln x = {lx:.6g})")
+    eta = math.atan(_MB_ANGLE * fall / max(rise, fall))
+    w = a / math.sin(eta)
+    h = 2.0 * math.pi * eta / (edge - peak + budget)
     # |integrand| decreases in |t|: add nodes until it drops below the floor.
-    # The first chunk spans the saddle's Gaussian width (all nodes for a
-    # degenerate step), each later one the last two nodes' decay
-    # extrapolated down to the floor (doubling where that decay is not
-    # negative; min(cap, .) also absorbs a NaN).  The sum stops at the first
-    # node below the floor, so the chunking never changes the value.
+    # Past the peak log|integrand| falls almost linearly in t.  The first
+    # chunk reaches two nodes past where it crosses the floor on the line
+    # through its value at height T, weight log cosh(u) = ln(1 + (t / w)^2)
+    # / 2 included, at the fall rate there; the rare later chunk
+    # extrapolates the last two nodes the same way (doubling where they do
+    # not fall; min(cap, .) also absorbs a NaN or infinite reach).  The sum
+    # stops at the first node below the floor, so the chunking never
+    # changes the value.
     floor = peak + math.log(_MB_TOL)
+    at_top = 0.5 * float(logv.real[2] + logv.real[3] + math.log1p((top / w) ** 2))
+    reach = math.asinh(max(top + (at_top - floor) * 2.0 * a / fall, 0.0) / w)
     chunks, k0 = [], 0
-    if width < _MB_MAX_NODES * abs(h):
-        n = int(width / abs(h)) + 2
-    else:
-        n = _MB_MAX_NODES
+    n = int(min(_MB_MAX_NODES, reach / h)) + 3
     while True:
         n = min(n, _MB_MAX_NODES - k0)
-        s = c + 1j * (h * np.arange(k0, k0 + n))
-        logv = kern.log_moment(s) - s * lx
-        if pole:
-            logv = logv - np.log(s)
+        u = h * np.arange(k0, k0 + n)
+        t = w * np.sinh(u)
+        # the weight dt/du = w cosh(u), its factor w taken out into the scale
+        logv = log_integrand(c + 1j * t) + np.log(np.cosh(u))
         mag = logv.real
         small = mag < floor
         small[0] &= k0 > 0  # node 0 is the peak itself
@@ -406,15 +447,16 @@ def _mb_integral(kern, lx, lo, hi, c, pole):
             raise AccuracyError(
                 f"Mellin-Barnes integral needs more than {_MB_MAX_NODES} nodes "
                 f"(ln x = {lx:.6g})")
-        slope = mag[-1] - mag[-2]
+        slope = (mag[-1] - mag[-2]) / (t[-1] - t[-2])
         if slope < 0.0:
-            n = int(min(_MB_MAX_NODES, (floor - mag[-1]) / slope)) + 2
+            reach = math.asinh((t[-1] + (floor - mag[-1]) / slope) / w)
+            n = int(min(_MB_MAX_NODES, (reach - u[-1]) / h)) + 2
         else:
             n = 2 * n
     re = np.exp(np.concatenate(chunks) - peak).real
     fine = 0.5 * re[0] + re[1:].sum()
     coarse = 2.0 * (0.5 * re[0] + re[2::2].sum())
-    scale = h / math.pi * math.exp(peak)
+    scale = h * w / math.pi * math.exp(peak)
     return scale * fine, scale * abs(fine - coarse)
 
 
@@ -432,6 +474,8 @@ class _MeijerGKernel:
         self.power = np.array([1.0] * (m + n) + [-1.0] * (q - m + p - n))
         self.poles = np.array([-b for b in spec.b[:m]]
                               + [1.0 - a for a in spec.a[:n]])
+        # |Phi(c + it)| falls like exp(-(q - p) pi |t| / 2)
+        self.decay = 0.5 * math.pi * (q - p)
 
     def log_moment(self, s):
         """log Phi on the complex array s."""

@@ -220,10 +220,12 @@ class TestRun:
         assert text == expected
         assert calls == [20000] * cfg.transceiver.branches
 
-    @pytest.mark.parametrize("name", ["fig3_weak_strong", "fig4_weak_n3", "fig13_worst"])
+    @pytest.mark.parametrize("name", ["fig3_weak_strong", "fig4_weak_n3", "fig13_worst",
+                                      "fig7_weak", "fig8_n2"])
     def test_shared_channel_law_built_once(self, name, monkeypatch):
         # the points share one channel object, so its Mellin transform is
-        # built once per sweep; each value is that of a fresh channel
+        # built once per sweep (for fso_parallel, that of the branch's
+        # flattened product); each value is that of a fresh channel
         cfg = parse_config(recipe_path(name))
         analytic_op, _ = cli._operators(cfg.scenario)
         expected = []

@@ -516,9 +516,9 @@ class TestSampling:
 
 
 def _doubling_reference(law, lx, kind):
-    """The line integral on the former node schedule: chunks of 64, 128, ...
-    nodes, refused once 2^16 nodes have been passed.  Returns (value, error
-    estimate, nodes summed)."""
+    """The line integral on the mapped nodes t = w sinh(k h), evaluated in
+    chunks of 64, 128, ... nodes and refused once 2^16 nodes have been
+    passed.  Returns (value, error estimate, nodes summed)."""
     pole = kind != "f"
     sign = -1.0 if kind == "F" else 1.0
     if kind == "F":
@@ -530,18 +530,26 @@ def _doubling_reference(law, lx, kind):
     peak = law.log_size(c, lx, pole)
     if peak < specfun._MB_LOG_ZERO:
         return sign * (math.copysign(0.0, c) if pole else 0.0), 0.0, 0
+
+    def log_integrand(s):
+        logv = law.log_moment(s) - s * lx
+        return logv - np.log(s) if pole else logv
+
     budget = 1.0 - math.log(specfun._MB_TOL)
-    a = min(specfun._MB_STRIP * float(np.min(np.abs(c - poles))),
-            math.sqrt(2.0 * budget / curv))
-    edge = max(law.log_size(c - a, lx, pole), law.log_size(c + a, lx, pole))
-    h = 2.0 * math.pi * a / (edge - peak + budget)
+    width = math.sqrt(2.0 * budget / curv)
+    a = min(specfun._MB_STRIP * float(np.min(np.abs(c - poles))), width)
+    top = 1j * (width + budget / law.decay)
+    pre = log_integrand(np.array([c - a, c + a, c - a + top, c + a + top]))
+    edge = float(pre.real[:2].max())
+    step = complex(pre[3] - pre[2])
+    eta = math.atan(specfun._MB_ANGLE * step.imag / max(abs(step.real), step.imag))
+    w = a / math.sin(eta)
+    h = 2.0 * math.pi * eta / (edge - peak + budget)
     floor = peak + math.log(specfun._MB_TOL)
     chunks, k0, n = [], 0, 64
     while True:
-        s = c + 1j * (h * np.arange(k0, k0 + n))
-        logv = law.log_moment(s) - s * lx
-        if pole:
-            logv = logv - np.log(s)
+        u = h * np.arange(k0, k0 + n)
+        logv = log_integrand(c + 1j * (w * np.sinh(u))) + np.log(np.cosh(u))
         small = logv.real < floor
         small[0] &= k0 > 0
         if small.any():
@@ -555,7 +563,7 @@ def _doubling_reference(law, lx, kind):
     re = np.exp(logv - peak).real
     fine = 0.5 * re[0] + np.sum(re[1:])
     coarse = 2.0 * (0.5 * re[0] + np.sum(re[2::2]))
-    scale = h / math.pi * math.exp(peak)
+    scale = h * w / math.pi * math.exp(peak)
     return sign * scale * fine, scale * abs(fine - coarse), logv.size
 
 
@@ -591,10 +599,23 @@ class _NodeCount:
         monkeypatch.setattr(distributions._MellinLaw, "log_moment", log_moment)
 
 
+class _ShortFirstChunk:
+    """The math module, but with the first chunk's reach cut to zero: the
+    log cosh weight it adds at height T is pushed far down."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def log1p(v):
+        return math.log1p(v) - 1e3
+
+
 class TestNodeSchedule:
     """The node chunks are sized from the integrand's decay; the sum is cut
     at the first node below the floor however the nodes are chunked, so
-    every value, error estimate and refusal equals the doubling schedule's."""
+    every value, error estimate and refusal equals that of the same mapped
+    nodes taken in doubling chunks."""
 
     @pytest.mark.parametrize("ch", [
         *SCALAR_CHANNELS.values(),
@@ -618,12 +639,10 @@ class TestNodeSchedule:
                     == _outcome(_doubling_reference, *args)), kind
 
     @pytest.mark.parametrize("label", SCALAR_CHANNELS)
-    @pytest.mark.parametrize("lo,hi,bound", [
-        (1e-3, 10.0, 1.25),
-        # down to F ~ 1e-8: the first chunk ends where the decay is shallow,
-        # so the extrapolated second chunk overshoots by up to ~40%
-        (1e-7, 20.0, 1.4),
-    ])
+    # the first chunk extrapolates the fall at height T down to the floor;
+    # the overshoot measured is at most 16%, the four nodes that bound the
+    # strip in every call included
+    @pytest.mark.parametrize("lo,hi,bound", [(1e-3, 10.0, 1.25), (1e-7, 20.0, 1.25)])
     def test_evaluates_few_unused_nodes(self, label, lo, hi, bound, monkeypatch):
         law = SCALAR_CHANNELS[label]._law
         used = 0
@@ -638,43 +657,84 @@ class TestNodeSchedule:
         assert count.nodes <= bound * used
 
     def test_refusal_evaluates_at_most_the_cap(self, monkeypatch):
-        # the clean pair's CDF at x = 1e-6 evaluates a first chunk of 67
-        # nodes (the saddle's Gaussian width) and a second of 994: smaller
-        # caps force the refusals
+        # the clean pair's CDF at x = 1e-6 evaluates four nodes that bound
+        # the strip and set its angle and one chunk of 168 nodes, and cuts
+        # the sum at node 166: smaller caps force the refusals
         ch = SCALAR_CHANNELS["clean_pair"]
         count = _NodeCount(monkeypatch)
-        # a cap inside the second chunk clips that chunk
-        monkeypatch.setattr(specfun, "_MB_MAX_NODES", 512)
-        with pytest.raises(AccuracyError, match="512 nodes"):
+        # a cap inside the first chunk sizes it at the cap itself
+        monkeypatch.setattr(specfun, "_MB_MAX_NODES", 128)
+        with pytest.raises(AccuracyError, match="128 nodes"):
             z_cdf(ch, 1e-6)
-        assert count.nodes == specfun._MB_MAX_NODES
-        # a cap below the Gaussian width sizes the first chunk at the cap itself
+        assert count.nodes == 4 + specfun._MB_MAX_NODES
+        # a cap inside a later chunk clips that chunk
         count.nodes = 0
-        monkeypatch.setattr(specfun, "_MB_MAX_NODES", 32)
-        with pytest.raises(AccuracyError, match="32 nodes"):
+        monkeypatch.setattr(specfun, "math", _ShortFirstChunk())
+        with pytest.raises(AccuracyError, match="128 nodes"):
             z_cdf(ch, 1e-6)
-        assert count.nodes == specfun._MB_MAX_NODES
+        assert count.nodes == 4 + specfun._MB_MAX_NODES
+
+    def test_short_first_chunk_is_continued(self, monkeypatch):
+        # where the first chunk's reach falls short, later chunks
+        # extrapolated from its last nodes carry the sum to the same cut
+        law = SCALAR_CHANNELS["clean_pair"]._law
+        for x in (1e-6, 0.3, 20.0):
+            for kind in "FQf":
+                args = (law, math.log(x), kind)
+                expect = _outcome(_doubling_reference, *args)
+                calls = []
+                inner = distributions._MellinLaw.log_moment
+                with monkeypatch.context() as m:
+                    m.setattr(distributions._MellinLaw, "log_moment",
+                              lambda law, s: calls.append(1) or inner(law, s))
+                    m.setattr(specfun, "math", _ShortFirstChunk())
+                    assert _outcome(distributions._line_integral, *args) == expect
+                assert len(calls) > 2, (x, kind)
 
     def test_cap_counts_node_indices(self, monkeypatch):
         # the first node below the floor has index `used`: a cap of
-        # used + 1 nodes reaches it, a cap of `used` refuses
+        # used + 1 nodes reaches it, a cap of `used` refuses after the four
+        # nodes that bound the strip and `used` line nodes
         law = SCALAR_CHANNELS["clean_pair"]._law
         lx = math.log(1e-6)
         val, err, used = _doubling_reference(law, lx, "F")
+        assert used == 166
         monkeypatch.setattr(specfun, "_MB_MAX_NODES", used + 1)
         assert distributions._line_integral(law, lx, "F") == (val, err)
         monkeypatch.setattr(specfun, "_MB_MAX_NODES", used)
         count = _NodeCount(monkeypatch)
         with pytest.raises(AccuracyError):
             distributions._line_integral(law, lx, "F")
-        assert count.nodes == used
+        assert count.nodes == 4 + used
+
+    def test_residue_doubling_reuses_nodes(self, monkeypatch):
+        # at x = 1e-4 the leading pole cluster of (0.6, 0.5)(0.7, 0.55)
+        # converges on a circle of 256 nodes: the doublings evaluate only the
+        # new odd nodes, 256 in all, not 64 + 128 + 256
+        law = CompositeProduct((GammaGammaParams(0.6, 0.5), GammaGammaParams(0.7, 0.55)))._law
+        lx = math.log(1e-4)
+        rho = 1.0 / abs(lx)
+        cluster = distributions._pole_clusters(law, rho)[0][0]
+        count = _NodeCount(monkeypatch)
+        top, val, mass = distributions._cluster_residue(law, lx, cluster, rho)
+        assert count.nodes == 256
+        # the same sum as all 256 nodes evaluated at once
+        mid, r = 0.5 * (cluster[0] + cluster[-1]), 0.5 * (cluster[0] - cluster[-1] + rho)
+        z = r * np.exp(2j * math.pi / 256 * np.arange(256))
+        logv = law.log_moment(mid + z) - (mid + z) * lx - np.log(-mid - z) + np.log(z)
+        v = np.exp(logv - logv.real.max())
+        assert (top, val, mass) == (float(logv.real.max()), v.mean().real, np.abs(v).mean())
+        # and 128 nodes do not suffice
+        monkeypatch.setattr(distributions, "_RESIDUE_NODES", 64 << np.arange(2))
+        with pytest.raises(AccuracyError, match="more than 128 nodes"):
+            distributions._cluster_residue(law, lx, cluster, rho)
 
     # evaluated nodes per call on the deep outage tail, x from 1e-7 to 1e-3
-    # (F from 1e-8 or below): about 1.15 times those measured (885, 800 and
-    # 306); a strip half as wide as the pole distance takes 1545, 1396 and 518
-    @pytest.mark.parametrize("label,bound", [
-        ("clean_pair", 1020), ("pointing_pair", 920), ("coincident_pair", 350)])
-    def test_deep_tail_node_budget(self, label, bound, monkeypatch):
+    # (F from 1e-8 or below): about 1.15 times those measured (149, 138 and
+    # 109); the uniform step on the same strip takes 885, 800 and 306
+    @pytest.mark.parametrize("label", SCALAR_CHANNELS)
+    def test_deep_tail_node_budget(self, label, monkeypatch):
+        bound = {"clean_pair": 171, "pointing_pair": 159, "coincident_pair": 126}[label]
         ch = SCALAR_CHANNELS[label]
         count = _NodeCount(monkeypatch)
         grid = np.exp(np.linspace(math.log(1e-7), math.log(1e-3), 20))
@@ -708,6 +768,28 @@ class TestDeepTailOracle:
         for x in DEEP_TAIL[label]:
             assert z_cdf(ch, x) == pytest.approx(_mpmath_cdf(ch, x), rel=1e-13, abs=0.0)
             assert z_pdf(ch, x) == pytest.approx(_mpmath_pdf(ch, x), rel=1e-13, abs=0.0)
+
+
+FAR_TAIL_CHANNELS = {
+    "weak": CompositeProduct((WEAK,)),
+    "pointing_pair": SCALAR_CHANNELS["pointing_pair"],
+    "strong6": CompositeProduct((STRONG,) * 6),
+    "small_shapes": CompositeProduct((GammaGammaParams(0.6, 0.5), GammaGammaParams(0.7, 0.55))),
+    "weak3_pe2": DEEP_TAIL_CHANNELS["weak3_pe2"],
+}
+
+
+class TestFarTailOracle:
+    """Far below the outage region, where the saddle line sits next to the
+    first pole of E[Z^s] and x^-s grows fastest across the line, against
+    mpmath.meijerg at 30 digits."""
+
+    @pytest.mark.parametrize("label", FAR_TAIL_CHANNELS)
+    def test_cdf_and_pdf(self, label):
+        ch = FAR_TAIL_CHANNELS[label]
+        for x in (1e-100, 1e-30, 1e-15, 1e-10, 1e-7):
+            assert z_cdf(ch, x) == pytest.approx(_mpmath_cdf(ch, x), rel=1e-12, abs=0.0), x
+            assert z_pdf(ch, x) == pytest.approx(_mpmath_pdf(ch, x), rel=1e-12, abs=0.0), x
 
 
 class TestLawPerChannel:

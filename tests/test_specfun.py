@@ -265,15 +265,19 @@ def _mpmath_meijer_g(spec, x):
 
 ORACLE_CASES = {
     "exp": (MeijerGSpec(1, 0, 0, 1, (), (0.0,)), (1.0,)),
-    "bessel": (MeijerGSpec(2, 0, 0, 2, (), (10.02, 2.98)), (1e-4, 0.5, 50.0, 1e4)),
+    "bessel": (MeijerGSpec(2, 0, 0, 2, (), (10.02, 2.98)), (1e-12, 1e-6, 1e-4, 0.5, 50.0, 1e4)),
     "coincident": (MeijerGSpec(2, 0, 0, 2, (), (2.98, 2.98)), (1e-3, 0.7, 1.0)),
     "integer_gap": (MeijerGSpec(2, 0, 0, 2, (), (0.5, 1.5)), (1e-3, 0.7, 1.0)),
-    "cdf2113": (MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.23, 0.0)), (0.1, 1.0, 10.0)),
-    "cdf2113_gap3": (MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.94, 0.0)), (0.1, 1.0, 10.0)),
+    # x = 1e-12 and 1e-6 put the saddle line next to the first pole, where
+    # the sinh-mapped rule takes its widest steps
+    "cdf2113": (MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.23, 0.0)),
+                (1e-12, 1e-6, 0.1, 1.0, 10.0)),
+    "cdf2113_gap3": (MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.94, 0.0)),
+                     (1e-12, 1e-6, 0.1, 1.0, 10.0)),
     "cdf3124": (MeijerGSpec(3, 1, 2, 4, (1.0, 7.7), (4.94, 1.23, 6.7, 0.0)),
-                (0.1, 1.0, 10.0)),
+                (1e-12, 1e-6, 0.1, 1.0, 10.0)),
     "cdf3124_gap3": (MeijerGSpec(3, 1, 2, 4, (1.0, 7.7), (4.94, 1.94, 6.7, 0.0)),
-                     (0.1, 1.0, 10.0)),
+                     (1e-12, 1e-6, 0.1, 1.0, 10.0)),
 }
 
 
