@@ -46,6 +46,7 @@ from .specfun import (
     _GUARD_REL,
     _degenerate_pairs,
     _mb_integral,
+    _psi,
 )
 
 __all__ = [
@@ -184,7 +185,8 @@ class _MellinLaw:
     that specfun._mb_integral integrates.  Complex lnGamma is taken once per
     distinct shape (identical links repeat them) and gathered back to every
     shape's row, so the sum over shapes is that over all rows bit for bit;
-    without pointing factors their terms are skipped."""
+    without pointing factors their terms are skipped.  The real slices run
+    on floats, once per distinct shape times its count."""
 
     def __init__(self, ch: CompositeProduct):
         shapes = [g.alpha for g in ch.gg_links] + [g.beta for g in ch.gg_links]
@@ -192,17 +194,20 @@ class _MellinLaw:
         self.shapes = np.array(shapes)
         self.distinct = np.array(distinct)
         self.rows = np.array([distinct.index(b) for b in shapes])
-        self.xis = np.array([p.xi for p in ch.pe_links])
+        self.counts = tuple((b, shapes.count(b)) for b in distinct)
+        xis = [p.xi for p in ch.pe_links]
+        self.xis = np.array(xis)
+        self.pointing = tuple(xis)
         self.log_scale = (sum(math.log(g.omega / (g.alpha * g.beta)) for g in ch.gg_links)
                           + sum(math.log(p.a_o) for p in ch.pe_links))
-        self.log_norm = float(np.sum(np.log(self.xis)) - np.sum(sp.gammaln(self.shapes)))
-        self.poles = -np.concatenate((self.shapes, self.xis))
-        self.b_min = -float(np.max(self.poles))
+        self.log_norm = (sum(math.log(xi) for xi in xis)
+                         - sum(k * math.lgamma(b) for b, k in self.counts))
+        self.poles = -np.array(shapes + xis)
+        self.b_min = min(shapes + xis)
         # |E[Z^(c + it)]| falls like exp(-N pi |t|)
         self.decay = math.pi * ch.n
         # E[ln Z], the slope of log E[Z^s] at s = 0
-        self.mean_log = float(self.log_scale + np.sum(sp.digamma(self.shapes))
-                              - np.sum(1.0 / self.xis))
+        self.mean_log = self.slopes(0.0, 0.0, False)[0]
 
     def log_moment(self, s):
         """log E[Z^s] on the complex array s."""
@@ -214,36 +219,43 @@ class _MellinLaw:
 
     def log_size(self, c, lx, pole):
         """log of the real integrand x^-c E[Z^c] (over |c| when pole)."""
-        v = c * (self.log_scale - lx) + self.log_norm + sp.gammaln(self.shapes + c).sum()
-        if self.xis.size:
-            v = v - np.log(self.xis + c).sum()
-        return float(v) - (math.log(abs(c)) if pole else 0.0)
+        v = c * (self.log_scale - lx) + self.log_norm
+        for b, k in self.counts:
+            v += k * math.lgamma(b + c)
+        for xi in self.pointing:
+            v -= math.log(xi + c)
+        return v - math.log(abs(c)) if pole else v
 
     def slopes(self, c, lx, pole):
         """First and second derivative of log_size in c."""
-        args = self.shapes + c
-        g = self.log_scale - lx + sp.digamma(args).sum()
-        g2 = sp.zeta(2.0, args).sum()
-        if self.xis.size:
-            g, g2 = g - (1.0 / (self.xis + c)).sum(), g2 + ((self.xis + c) ** -2.0).sum()
+        g, g2 = self.log_scale - lx, 0.0
+        for b, k in self.counts:
+            p, p1 = _psi(b + c)
+            g += k * p
+            g2 += k * p1
+        for xi in self.pointing:
+            v = 1.0 / (xi + c)
+            g -= v
+            g2 += v * v
         if pole:
             g, g2 = g - 1.0 / c, g2 + 1.0 / (c * c)
-        return float(g), float(g2)
+        return g, g2
 
 
-def _line_integral(law: _MellinLaw, lx, kind):
-    """One Mellin-Barnes integral at ln x = lx: (value, error estimate).
+def _line_integral(law: _MellinLaw, lx, kind, lead=0.0):
+    """One Mellin-Barnes integral at ln x = lx, times e^lead: (value, error
+    estimate).
 
     kind "F" gives P(Z <= x) on a line in (-b_min, 0), "Q" gives P(Z > x) on
     a line right of the origin and "f" gives x times the density on a line
     right of -b_min.
     """
     if kind == "F":
-        val, err = _mb_integral(law, lx, -law.b_min, 0.0, -0.5 * law.b_min, True)
+        val, err = _mb_integral(law, lx, -law.b_min, 0.0, -0.5 * law.b_min, True, lead)
         return -val, err
     if kind == "Q":
-        return _mb_integral(law, lx, 0.0, math.inf, 1.0, True)
-    return _mb_integral(law, lx, -law.b_min, math.inf, 0.0, False)
+        return _mb_integral(law, lx, 0.0, math.inf, 1.0, True, lead)
+    return _mb_integral(law, lx, -law.b_min, math.inf, 0.0, False, lead)
 
 
 def _accuracy_fail(what, val, err):
@@ -261,6 +273,19 @@ def _as_array(x, allow_zero=False):
             raise DomainError("argument must not be NaN")
         raise DomainError("argument must be positive")
     return xx, scalar
+
+
+def _pointwise(at, law, x, allow_zero=False):
+    """at(law, v) at each point v of x, all checked first: a float for a
+    scalar x, otherwise an array of the shape of x."""
+    xx = np.asarray(x, dtype=float)
+    points = xx.ravel().tolist()
+    for v in points:
+        if not (v >= 0.0 if allow_zero else v > 0.0):
+            raise DomainError("argument must not be NaN" if v != v
+                              else "argument must be positive")
+    out = [at(law, v) for v in points]
+    return float(out[0]) if xx.ndim == 0 else np.array(out).reshape(xx.shape)
 
 
 def _cdf_at(law: _MellinLaw, x):
@@ -282,9 +307,12 @@ def _cdf_at(law: _MellinLaw, x):
 def _pdf_at(law: _MellinLaw, x):
     if x == math.inf:
         return 0.0
-    val, err = _line_integral(law, math.log(x), "f")
-    val, err = val / x, err / x
-    if not err <= _GUARD_REL_PDF * abs(val) + 1e-12:
+    # the density's 1/x enters the log of the scale, so that f keeps its
+    # digits where x f(x) would be subnormal; where f itself is so small
+    # that its estimate underflows, the estimate proves nothing
+    lx = math.log(x)
+    val, err = _line_integral(law, lx, "f", -lx)
+    if not (err <= _GUARD_REL_PDF * abs(val) + 1e-12 and (err > 0.0 or val == 0.0)):
         _accuracy_fail("PDF", val, err)
     return val
 
@@ -297,19 +325,13 @@ def z_cdf(ch: CompositeProduct, x):
     small side of the distribution keeps its relative precision.  Raises
     AccuracyError when the error estimate exceeds the refusal guard.
     """
-    xx, scalar = _as_array(x, allow_zero=True)
-    law = ch._law
-    out = np.array([_cdf_at(law, v) for v in xx.flat]).reshape(xx.shape)
-    return float(out[0]) if scalar else out
+    return _pointwise(_cdf_at, ch._law, x, allow_zero=True)
 
 
 def z_pdf(ch: CompositeProduct, x):
     """PDF of the composite product Z at x > 0 (scalar or array), by the
     Mellin-Barnes integral on its saddle line."""
-    xx, scalar = _as_array(x)
-    law = ch._law
-    out = np.array([_pdf_at(law, v) for v in xx.flat]).reshape(xx.shape)
-    return float(out[0]) if scalar else out
+    return _pointwise(_pdf_at, ch._law, x)
 
 
 def _pole_clusters(law: _MellinLaw, rho):
@@ -381,10 +403,7 @@ def z_cdf_asymptotic(ch: CompositeProduct, x):
     the x^b (ln 1/x)^k terms of a multiple pole.  The next two clusters'
     residues estimate the error; beyond 1e-2 of the value, or for a limit
     above 1, it raises AccuracyError (use z_cdf there)."""
-    xx, scalar = _as_array(x, allow_zero=True)
-    law = ch._law
-    out = np.array([_asymptote_at(law, v) for v in xx.flat]).reshape(xx.shape)
-    return float(out[0]) if scalar else out
+    return _pointwise(_asymptote_at, ch._law, x, allow_zero=True)
 
 
 def z1_pdf(links, x):

@@ -1,7 +1,10 @@
-"""Real-valued special functions used by the product-channel statistics.
+"""Special functions used by the product-channel statistics.
 
-Gamma, erf and the modified Bessel function K come from the C library /
-scipy and are re-exported behind small validating wrappers.  A Meijer G
+Gamma and erf come from the C library and the modified Bessel function K
+from scipy, behind small validating wrappers.  Digamma and trigamma are
+written here (`_psi`) for the saddle search of the line integral below,
+which runs on Python floats with the C library's lnGamma; from
+scipy.special the line takes only the complex lnGamma.  A Meijer G
 function is its Mellin-Barnes integral,
 
     G^{m,n}_{p,q}(x | a; b) = (1/(2 pi i)) int Phi(s) x^-s ds,
@@ -325,36 +328,81 @@ def build_slater_expansion(spec: MeijerGSpec) -> SlaterExpansion:
     return SlaterExpansion(tuple(terms), spec.argument_sign)
 
 
+def _psi(x):
+    """(digamma, trigamma) at the real float x.
+
+    Below zero by reflection (DLMF 5.5.4 and its derivative) on x less its
+    nearest integer, which keeps the digits of sin(pi x).  Up to x = 10 by
+    the recurrence psi(x) = psi(x + 1) - 1/x, then by the asymptotic series
+    in B_2k / x^2k (DLMF 5.11.2, 5.15.8) to k = 7: past x = 10 the first
+    term left out is below 1e-15 of the value.  Raises ZeroDivisionError at
+    the poles x = 0, -1, -2, ...
+    """
+    if x < 0.0:
+        p, p1 = _psi(1.0 - x)
+        t = math.pi * (x - round(x))
+        sn = math.sin(t)
+        return p - math.pi * math.cos(t) / sn, (math.pi / sn) ** 2 - p1
+    p = p1 = 0.0
+    while x < 10.0:
+        v = 1.0 / x
+        p -= v
+        p1 += v * v
+        x += 1.0
+    v = 1.0 / x
+    z = v * v
+    p += math.log(x) - 0.5 * v - z * (
+        1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (
+            1 / 240 - z * (1 / 132 - z * (691 / 32760 - z / 12))))))
+    p1 += v + 0.5 * z + v * z * (
+        1 / 6 - z * (1 / 30 - z * (1 / 42 - z * (
+            1 / 30 - z * (5 / 66 - z * (691 / 2730 - z * 7 / 6))))))
+    return p, p1
+
+
 def _saddle(kern, lx, lo, hi, c, pole):
     """Minimum of the convex log_size on (lo, hi) by safeguarded Newton,
     with the curvature there.
 
-    Where hi is infinite the slope is concave, so Newton steps from the left
-    of the minimum stay left of it; any step leaving the bracket is replaced
-    by bisection.
+    The edges are poles, where the slope g runs off like -k / (c - lo) and
+    k / (hi - c).  Each step is Newton's on g times the distance to the edge
+    beyond the minimum, a product that pole leaves near linear; near the
+    minimum g vanishes and the step is plain Newton's.  Where hi is infinite
+    the slope is concave, so steps from the left of the minimum stay left of
+    it.  Any step leaving the bracket is replaced by bisection.  A slope or
+    curvature that is not finite raises AccuracyError.
     """
+    left, right = lo, hi
     for _ in range(_SADDLE_ITERS):
         g, g2 = kern.slopes(c, lx, pole)
+        if not (math.isfinite(g) and math.isfinite(g2)):
+            raise AccuracyError(
+                f"Mellin-Barnes integrand has no saddle on a line (ln x = {lx:.6g})")
         if g < 0.0:
             lo = c
         else:
             hi = c
-        nxt = c - g / g2
+        # Newton on (c - left) g where g > 0, on (right - c) g where g < 0
+        nxt = c - g / (g2 + max(g / (c - left), -g / (right - c)))
         if abs(nxt - c) <= 1e-10 * (1.0 + abs(c)):
             break
         c = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     return c, g2
 
 
-def _mb_integral(kern, lx, lo, hi, c, pole):
-    """(1/pi) int_0^inf Re[x^-s M(s) / s^pole] dt on a vertical line in the
-    pole-free strip lo < Re s < hi, at ln x = lx: (value, error estimate).
+def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
+    """e^lead / pi int_0^inf Re[x^-s M(s) / s^pole] dt on a vertical line in
+    the pole-free strip lo < Re s < hi, at ln x = lx: (value, error
+    estimate).  The factor e^lead enters the log of the scale before it is
+    exponentiated, so a value it brings back from below the smallest double
+    keeps its digits.
 
     The kernel gives log M on complex arrays (`log_moment`), the real slice
-    log(x^-c M(c) / |c|^pole) and its first two derivatives in c
+    log(x^-c M(c) / |c|^pole) and its first two derivatives in c on floats
     (`log_size`, `slopes`), the poles next to the strip (`poles`), and the
     rate at which |M(c + it)| falls in |t| far up the line (`decay`).  The
-    Newton search starts from c.  Every quantity depends on (kernel, lx)
+    Newton search starts from c; where it meets a pole of the real slice,
+    or no minimum, the call refuses.  Every quantity depends on (kernel, lx)
     alone, so scalar and array callers agree bit for bit.  Where the peak on
     the line proves the value zero in double precision (_MB_LOG_ZERO), it is
     returned without nodes.
@@ -374,16 +422,25 @@ def _mb_integral(kern, lx, lo, hi, c, pole):
     _MB_ANGLE times their ratio, at most _MB_ANGLE (beyond eta = pi/4 a
     Gaussian peak grows along the edge).
     """
-    c, curv = _saddle(kern, lx, lo, hi, c, pole)
+    try:
+        c, curv = _saddle(kern, lx, lo, hi, c, pole)
+        peak = kern.log_size(c, lx, pole)
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        # a pole of digamma or lnGamma met by the search, or lnGamma beyond
+        # the largest double
+        raise AccuracyError(
+            f"Mellin-Barnes integrand has no saddle on a line (ln x = {lx:.6g})"
+        ) from exc
     if not curv > 0.0:
         raise AccuracyError(
             f"Mellin-Barnes integrand has no saddle on a line (ln x = {lx:.6g})")
-    peak = kern.log_size(c, lx, pole)
     if peak < _MB_LOG_ZERO:
         # Far out the saddle line has no digits left to size a step from,
         # and the value is zero anyway: signed as the integrand at the peak.
         return (math.copysign(0.0, c) if pole else 0.0), 0.0
-    poles = np.append(kern.poles, 0.0) if pole else kern.poles
+    near = min(abs(c - p) for p in kern.poles.tolist())
+    if pole:
+        near = min(near, abs(c))
 
     def log_integrand(s):
         logv = kern.log_moment(s) - s * lx
@@ -399,7 +456,7 @@ def _mb_integral(kern, lx, lo, hi, c, pole):
     # saddle (wider strips only lengthen the sum).
     budget = 1.0 - math.log(_MB_TOL)
     width = math.sqrt(2.0 * budget / curv)
-    a = min(_MB_STRIP * float(np.min(np.abs(c - poles))), width)
+    a = min(_MB_STRIP * near, width)
     # the integrand at c -+ a on the real axis and at the height T where
     # `decay` has spent the budget: across the strip at height T the real
     # part of the change of its log is the growth across the line, the
@@ -456,7 +513,7 @@ def _mb_integral(kern, lx, lo, hi, c, pole):
     re = np.exp(np.concatenate(chunks) - peak).real
     fine = 0.5 * re[0] + re[1:].sum()
     coarse = 2.0 * (0.5 * re[0] + re[2::2].sum())
-    scale = h * w / math.pi * math.exp(peak)
+    scale = h * w / math.pi * math.exp(peak + lead)
     return scale * fine, scale * abs(fine - coarse)
 
 
@@ -464,16 +521,18 @@ class _MeijerGKernel:
     """log Phi(s) of a Meijer G as a sum of +-lnGamma(base + sign s): the
     factors Gamma(b_j+s), j <= m, and Gamma(1-a_j-s), j <= n, enter with
     power +1, the factors 1/Gamma(1-b_j-s), j > m, and 1/Gamma(a_j+s),
-    j > n, with power -1."""
+    j > n, with power -1.  The (base, sign, power) rows are kept as arrays
+    for the complex line and as float triples for its real slice."""
 
     def __init__(self, spec: MeijerGSpec):
         m, n, p, q = spec.m, spec.n, spec.p, spec.q
-        self.base = np.array(spec.b[:m] + tuple(1.0 - a for a in spec.a[:n])
-                             + tuple(1.0 - b for b in spec.b[m:]) + spec.a[n:])
-        self.sign = np.array([1.0] * m + [-1.0] * (n + q - m) + [1.0] * (p - n))
-        self.power = np.array([1.0] * (m + n) + [-1.0] * (q - m + p - n))
-        self.poles = np.array([-b for b in spec.b[:m]]
-                              + [1.0 - a for a in spec.a[:n]])
+        base = (spec.b[:m] + tuple(1.0 - a for a in spec.a[:n])
+                + tuple(1.0 - b for b in spec.b[m:]) + spec.a[n:])
+        sign = (1.0,) * m + (-1.0,) * (n + q - m) + (1.0,) * (p - n)
+        power = (1.0,) * (m + n) + (-1.0,) * (q - m + p - n)
+        self.rows = tuple(zip(base, sign, power))
+        self.base, self.sign, self.power = np.array(base), np.array(sign), np.array(power)
+        self.poles = np.array([-b for b in spec.b[:m]] + [1.0 - a for a in spec.a[:n]])
         # |Phi(c + it)| falls like exp(-(q - p) pi |t| / 2)
         self.decay = 0.5 * math.pi * (q - p)
 
@@ -484,17 +543,22 @@ class _MeijerGKernel:
 
     def log_size(self, c, lx, pole):
         """log |x^-c Phi(c)| (over |c| when pole)."""
-        v = (self.power * sp.gammaln(self.base + self.sign * c)).sum() - c * lx
-        return float(v) - (math.log(abs(c)) if pole else 0.0)
+        v = 0.0
+        for base, sign, power in self.rows:
+            v += power * math.lgamma(base + sign * c)
+        v -= c * lx
+        return v - math.log(abs(c)) if pole else v
 
     def slopes(self, c, lx, pole):
         """First and second derivative of log_size in c."""
-        args = self.base + self.sign * c
-        g = (self.power * self.sign * sp.digamma(args)).sum() - lx
-        g2 = (self.power * sp.zeta(2.0, args)).sum()
+        g, g2 = -lx, 0.0
+        for base, sign, power in self.rows:
+            p, p1 = _psi(base + sign * c)
+            g += power * sign * p
+            g2 += power * p1
         if pole:
             g, g2 = g - 1.0 / c, g2 + 1.0 / (c * c)
-        return float(g), float(g2)
+        return g, g2
 
 
 @dataclass(frozen=True)

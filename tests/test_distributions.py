@@ -440,12 +440,27 @@ def _mpmath_cdf(ch, x):
                                         [spec.b[:-1], spec.b[-1:]], x * rate))
 
 
-def _mpmath_pdf(ch, x):
-    """f(x) = C / x G(R x | xi + 1; b) from mpmath.meijerg at 30 digits."""
+def _mpmath_pdf(ch, x, dps=30):
+    """f(x) = C / x G(R x | xi + 1; b) from mpmath.meijerg at dps digits."""
     c, rate, spec = _cdf_meijer_form(ch)
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         return float(c / mpmath.mpf(x) * mpmath.meijerg(
             [[], [p.xi + 1.0 for p in ch.pe_links]], [list(ch.b_tuple), []], x * rate))
+
+
+def _mpmath_sf(ch, x):
+    """1 - F(x) from mpmath.meijerg at 40 digits.  1 - F keeps only the
+    digits of F beyond its leading nines, so the constant and the argument
+    of the closed form are taken at 40 digits too."""
+    _, _, spec = _cdf_meijer_form(ch)
+    with mpmath.workdps(40):
+        c = (mpmath.fprod(mpmath.mpf(p.xi) for p in ch.pe_links)
+             / mpmath.fprod(mpmath.gamma(mpmath.mpf(g.alpha)) * mpmath.gamma(mpmath.mpf(g.beta))
+                            for g in ch.gg_links))
+        rate = (mpmath.fprod(mpmath.mpf(g.alpha) * g.beta / g.omega for g in ch.gg_links)
+                / mpmath.fprod(mpmath.mpf(p.a_o) for p in ch.pe_links))
+        return float(1 - c * mpmath.meijerg([spec.a[:1], spec.a[1:]],
+                                            [spec.b[:-1], spec.b[-1:]], x * rate))
 
 
 def _strip_slater(ch, x):
@@ -790,6 +805,97 @@ class TestFarTailOracle:
         for x in (1e-100, 1e-30, 1e-15, 1e-10, 1e-7):
             assert z_cdf(ch, x) == pytest.approx(_mpmath_cdf(ch, x), rel=1e-12, abs=0.0), x
             assert z_pdf(ch, x) == pytest.approx(_mpmath_pdf(ch, x), rel=1e-12, abs=0.0), x
+
+
+# x where 1 - F is about 1e-2, 1e-6 and 1e-10
+UPPER_TAIL = {
+    "clean_pair": (7.09, 56.7, 179.0),
+    "pointing_pair": (3.82, 32.3, 105.0),
+    "coincident_pair": (5.22, 30.0, 81.6),
+    "weak3_pe2": (2.3, 25.4, 101.0),
+    "g60_40_cubed": (2.11, 4.72, 7.87),
+}
+UPPER_TAIL_CHANNELS = {
+    **DEEP_TAIL_CHANNELS,
+    "g60_40_cubed": CompositeProduct((GammaGammaParams(60.0, 40.0),) * 3),
+}
+
+
+class TestUpperTailOracle:
+    """The CDF above E[ln Z], where it is 1 - Q with Q the line integral
+    right of the origin, against 1 - F from mpmath.meijerg at 40 digits.
+    Q itself is pinned relative to 1 - F; the CDF, which cannot hold that
+    in double precision, to the rounding of 1 - Q on top."""
+
+    @pytest.mark.parametrize("label", UPPER_TAIL)
+    def test_complement(self, label):
+        ch = UPPER_TAIL_CHANNELS[label]
+        law = ch._law
+        for x in UPPER_TAIL[label]:
+            sf = _mpmath_sf(ch, x)
+            assert math.log(x) >= law.mean_log  # the Q branch
+            q = distributions._line_integral(law, math.log(x), "Q")[0]
+            assert q == pytest.approx(sf, rel=1e-12, abs=0.0), x
+            assert z_cdf(ch, x) == pytest.approx(1.0 - sf, rel=0.0, abs=1e-12 * sf + 2.0**-53), x
+
+
+class TestSubnormalScale:
+    def test_pdf_keeps_its_digits(self):
+        # x f(x) is 3e-317 here, subnormal: f is formed without it
+        ch = CompositeProduct((GammaGammaParams(35.9, 1.056),), (PointingErrorParams(7.73, 0.677),))
+        assert z_pdf(ch, 1e-300) == pytest.approx(_mpmath_pdf(ch, 1e-300, dps=60), rel=1e-12, abs=0.0)
+
+    def test_pdf_with_an_underflowed_estimate_refuses(self):
+        # f(1e-160) of one weak link is about 1e-317: its error estimate
+        # underflows to zero, which bounds nothing
+        with pytest.raises(AccuracyError):
+            z_pdf(CompositeProduct((WEAK,)), 1e-160)
+
+
+class TestMellinLawSlices:
+    """The float real slices of the Mellin law against the scipy
+    expressions they replaced, on the lines of F, Q and f."""
+
+    @pytest.mark.parametrize("label", UPPER_TAIL_CHANNELS)
+    def test_match_scipy(self, label):
+        sp = distributions.sp
+        law = UPPER_TAIL_CHANNELS[label]._law
+        shapes, xis = law.shapes, law.xis
+        assert law.log_norm == pytest.approx(
+            np.log(xis).sum() - sp.gammaln(shapes).sum(), rel=1e-14, abs=1e-14)
+        assert law.mean_log == pytest.approx(
+            law.log_scale + sp.digamma(shapes).sum() - (1.0 / xis).sum(), rel=1e-14, abs=1e-14)
+        lines = [(c, True) for c in np.linspace(-law.b_min, 0.0, 31)[1:-1]]
+        lines += [(c, True) for c in np.linspace(0.0, 10.0, 31)[1:]]
+        lines += [(c, False) for c in np.linspace(-law.b_min, 10.0, 41)[1:]]
+        for c, pole in lines:
+            c = float(c)
+            for lx in (-27.6, law.mean_log, 4.6):
+                size = (c * (law.log_scale - lx) + law.log_norm + sp.gammaln(shapes + c).sum()
+                        - np.log(xis + c).sum() - (math.log(abs(c)) if pole else 0.0))
+                g = (law.log_scale - lx + sp.digamma(shapes + c).sum() - (1.0 / (xis + c)).sum()
+                     - (1.0 / c if pole else 0.0))
+                g2 = (sp.zeta(2.0, shapes + c).sum() + ((xis + c) ** -2.0).sum()
+                      + (1.0 / (c * c) if pole else 0.0))
+                got = law.log_size(c, lx, pole), *law.slopes(c, lx, pole)
+                scale = np.abs(sp.gammaln(shapes + c)).sum() + abs(c * lx) + 1.0
+                assert abs(got[0] - size) <= 1e-13 * scale, (c, lx, pole)
+                assert got[1] == pytest.approx(g, rel=1e-13, abs=1e-13 * (abs(lx) + 1.0)), (c, lx, pole)
+                assert got[2] == pytest.approx(g2, rel=1e-13), (c, lx, pole)
+
+    def test_no_real_scipy_function_on_the_path(self, monkeypatch):
+        # the saddle search, the law and the meijer_g kernel use math and
+        # specfun._psi: scipy gives only the complex lnGamma on the line
+        def banned(*args):
+            raise AssertionError("scipy real special function called")
+
+        for name in ("digamma", "zeta", "gammaln"):
+            monkeypatch.setattr(distributions.sp, name, banned)
+        ch = CompositeProduct((WEAK, STRONG), (PE_A, PE_B))
+        for x in (1e-6, 0.3, 5.0):
+            z_cdf(ch, x)
+            z_pdf(ch, x)
+        specfun.meijer_g(MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.23, 0.0)), 0.1)
 
 
 class TestLawPerChannel:

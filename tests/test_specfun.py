@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special as sp
 
 from cascade_fading import specfun
 from cascade_fading.specfun import (
@@ -314,9 +314,69 @@ class TestMeijerGOracle:
         with pytest.raises(AccuracyError):
             meijer_g(spec, 1e4)
 
+    @pytest.mark.parametrize("spec,x", [
+        # 1/Gamma(0.5 + s) vanishes at every half-integer of the strip, and
+        # 1/Gamma(1 - s) at s = 1, 2, 3: the search meets poles of the real
+        # slice's digamma and lnGamma
+        (MeijerGSpec(2, 0, 1, 2, (0.5,), (50, 60)), 1.0),
+        (MeijerGSpec(2, 1, 1, 3, (-3.0,), (4.94, 1.23, 0.0)), 1e4),
+    ])
+    def test_pole_on_the_search_refused_or_exact(self, spec, x):
+        try:
+            value = meijer_g(spec, x).value
+        except AccuracyError:
+            return
+        assert value == pytest.approx(_mpmath_meijer_g(spec, x), rel=1e-13)
+
     def test_no_saddle_refused(self):
         # 1/Gamma(0.1 + s) vanishes inside the strip, so the real integrand
         # has no minimum to place the line at
         spec = MeijerGSpec(2, 0, 1, 2, (0.1,), (5.0, 6.0))
         with pytest.raises(AccuracyError):
             meijer_g(spec, 1.0)
+
+
+class TestPsi:
+    """The digamma and trigamma of the saddle search against mpmath."""
+
+    def test_against_mpmath(self):
+        # both signs of x, the reflection branch included; poles are kept
+        # 1e-3 away, where the values reach 1e6
+        xs = np.concatenate([np.linspace(-60.0, 200.0, 2601) + 0.0123,
+                             -np.arange(60.0) - 1e-3, -np.arange(60.0) - 0.999,
+                             np.geomspace(1e-8, 10.0, 200)])
+        for x in xs.tolist():
+            psi, psi1 = specfun._psi(x)
+            want, want1 = float(mpmath.psi(0, x)), float(mpmath.psi(1, x))
+            assert abs(psi - want) <= 1e-14 * max(abs(want), 1.0), x
+            assert abs(psi1 - want1) <= 1e-14 * max(abs(want1), 1.0), x
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0, -60.0])
+    def test_poles_raise(self, x):
+        with pytest.raises(ZeroDivisionError):
+            specfun._psi(x)
+
+
+class TestMeijerGKernel:
+    """The float real slice of the line integral's kernel against the scipy
+    expressions it replaced, across each strip of ORACLE_CASES."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_real_slice_matches_scipy(self, case):
+        spec = ORACLE_CASES[case][0]
+        kern = specfun._MeijerGKernel(spec)
+        lo = -min(spec.b[:spec.m])
+        hi = 1.0 - spec.a[0] if spec.n else lo + 30.0
+        for c in np.linspace(lo, hi, 41)[1:-1].tolist():
+            args = kern.base + kern.sign * c
+            for lx in (-27.6, 0.0, 9.2):
+                terms = kern.power * sp.gammaln(args)
+                size = terms.sum() - c * lx
+                g = (kern.power * kern.sign * sp.digamma(args)).sum() - lx
+                g2 = (kern.power * sp.zeta(2.0, args)).sum()
+                got = kern.log_size(c, lx, False), *kern.slopes(c, lx, False)
+                scales = (np.abs(terms).sum() + abs(c * lx) + 1.0,
+                          np.abs(sp.digamma(args)).sum() + abs(lx) + 1.0,
+                          np.abs(sp.zeta(2.0, args)).sum() + 1.0)
+                for v, want, scale in zip(got, (size, g, g2), scales):
+                    assert abs(v - want) <= 1e-13 * scale, (c, lx)
