@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 BOLTZMANN = 1.380649e-23  # J/K, exact in the SI since 2019
 
 from .channels import (
-    FsoAtmosphere,
     ThzAtmosphere,
     ThzLinkBudget,
     TURBULENCE_PRESETS,
@@ -181,18 +180,25 @@ _ATM_KEYS = {
 }
 
 
-def _get_typed(parser, section, key, kind, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
+def _fields(parser, section, kinds, required=()):
+    """The fields of `section` parsed by their kinds (no fields when the
+    section is absent).  An accepted field must affect the result, so a key
+    that the section does not define (a misspelling) is an error, not
+    ignored."""
+    out = {}
+    for key in parser.options(section) if parser.has_section(section) else ():
+        if key not in kinds:
+            raise ConfigError(section, key, "unknown field")
+        raw, kind = parser.get(section, key), kinds[key]
+        try:
+            out[key] = (raw.strip().lower() in ("1", "true", "yes", "on") if kind is bool
+                        else kind(raw))
+        except ValueError:
+            raise ConfigError(section, key, f"cannot parse {raw!r} as {kind.__name__}")
+    for key in required:
+        if key not in out:
             raise ConfigError(section, key, "required field is missing")
-        return default
-    raw = parser.get(section, key)
-    try:
-        if kind is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(section, key, f"cannot parse {raw!r} as {kind.__name__}")
+    return out
 
 
 def parse_config_text(text, source="<string>"):
@@ -201,13 +207,16 @@ def parse_config_text(text, source="<string>"):
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError("-", "-", f"syntax error: {exc}")
+    if parser.defaults():  # its keys would be read as every section's own
+        raise ConfigError(parser.default_section, "-", "unknown section")
     if not parser.has_section("config"):
         raise ConfigError("config", "-", "missing [config] section")
-    version = _get_typed(parser, "config", "config_version", int, required=True)
+    head = _fields(parser, "config", {"config_version": int, "scenario": str},
+                   required=("config_version", "scenario"))
+    version, scenario = head["config_version"], head["scenario"]
     if version != CONFIG_VERSION:
         raise ConfigError("config", "config_version",
                           f"unsupported version {version} (expected {CONFIG_VERSION})")
-    scenario = _get_typed(parser, "config", "scenario", str, required=True)
     if scenario not in SCENARIOS:
         raise ConfigError("config", "scenario",
                           f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
@@ -216,13 +225,9 @@ def parse_config_text(text, source="<string>"):
     i = 1
     while parser.has_section(f"link.{i}"):
         sec = f"link.{i}"
-        kwargs = {}
-        for key in _LINK_FLOAT_KEYS:
-            val = _get_typed(parser, sec, key, float)
-            if val is not None:
-                kwargs[key] = val
-        kwargs["misaligned"] = _get_typed(parser, sec, "misaligned", bool, default=False)
-        preset = _get_typed(parser, sec, "turbulence", str)
+        kwargs = _fields(parser, sec, {**dict.fromkeys(_LINK_FLOAT_KEYS, float),
+                                       "misaligned": bool, "turbulence": str})
+        preset = kwargs.pop("turbulence", None)
         if preset is not None:
             if preset not in TURBULENCE_PRESETS:
                 raise ConfigError(sec, "turbulence",
@@ -233,29 +238,16 @@ def parse_config_text(text, source="<string>"):
         i += 1
     if not links:
         raise ConfigError("link.1", "-", "at least one [link.k] section is required")
-
-    trx_kwargs = {}
-    if parser.has_section("transceiver"):
-        for key, kind in _TRX_KEYS.items():
-            val = _get_typed(parser, "transceiver", key, kind)
-            if val is not None:
-                trx_kwargs[key] = val
-    atm_kwargs = {}
-    if parser.has_section("atmosphere"):
-        for key, kind in _ATM_KEYS.items():
-            val = _get_typed(parser, "atmosphere", key, kind)
-            if val is not None:
-                atm_kwargs[key] = val
+    read = {"config", "sweep", "transceiver", "atmosphere", *(f"link.{k}" for k in range(1, i))}
+    for sec in parser.sections():
+        if sec not in read:
+            raise ConfigError(sec, "-", "unknown section")
 
     if not parser.has_section("sweep"):
         raise ConfigError("sweep", "-", "missing [sweep] section")
-    sweep = SweepConfig(
-        variable=_get_typed(parser, "sweep", "variable", str, required=True),
-        start=_get_typed(parser, "sweep", "start", float, required=True),
-        stop=_get_typed(parser, "sweep", "stop", float, required=True),
-        points=_get_typed(parser, "sweep", "points", int, required=True),
-        scale=_get_typed(parser, "sweep", "scale", str, default="linear"),
-    )
+    kinds = {"variable": str, "start": float, "stop": float, "points": int, "scale": str}
+    sweep = SweepConfig(**{"scale": "linear", **_fields(
+        parser, "sweep", kinds, required=("variable", "start", "stop", "points"))})
     if sweep.scale not in ("linear", "log", "db"):
         raise ConfigError("sweep", "scale", f"unknown scale {sweep.scale!r}")
     if sweep.points < 1:
@@ -266,8 +258,8 @@ def parse_config_text(text, source="<string>"):
     cfg = ScenarioConfig(
         scenario=scenario,
         links=tuple(links),
-        atmosphere=AtmosphereConfig(**atm_kwargs),
-        transceiver=TransceiverConfig(**trx_kwargs),
+        atmosphere=AtmosphereConfig(**_fields(parser, "atmosphere", _ATM_KEYS)),
+        transceiver=TransceiverConfig(**_fields(parser, "transceiver", _TRX_KEYS)),
         sweep=sweep,
     )
     _validate_sweep_variable(cfg)

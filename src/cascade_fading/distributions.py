@@ -15,15 +15,17 @@ With s = c + i t on a vertical line,
     1 - F(x) = (1/pi) int_0^inf Re[ x^-s E[Z^s] / s] dt,    c > 0,
     f(x)     = (1/(pi x)) int_0^inf Re[x^-s E[Z^s]] dt,     c > -b_min.
 
-The integrand decays like exp(-N pi |t|), so the trapezoidal rule converges
-exponentially in the step (Trefethen & Weideman, SIAM Rev. 56, 2014).  The
-rule is specfun's Mellin-Barnes engine, which also evaluates meijer_g: the
-line sits at the saddle of the real integrand, and the nodes t = w sinh(u)
-lie evenly in u, fine across the peak and sparse along the 1/t shoulder that
-a nearby pole gives the deep outage tail.  The step follows from the
-pole-free strip around the line, and the sum on twice the step, taken from
-the same nodes, gives the error estimate.  Coincident parameters only merge
-poles off the line, so they need no special treatment.
+E[Z^s] is specfun's gamma-product kernel, the one meijer_g integrates too:
+a row Gamma(shape + s) per shape, a row 1 / (xi + s) per pointing factor,
+and the scale and the normalisation as its linear and constant terms.
+_MellinLaw only builds those rows, once per channel, and adds the strip's
+edge b_min and E[ln Z].  The integrand decays like exp(-N pi |t|), and
+specfun's Mellin-Barnes engine sums it: the line sits at the saddle of the
+real integrand, and the nodes t = w sinh(u) lie evenly in u, fine across
+the peak and sparse along the 1/t shoulder that a nearby pole gives the
+deep outage tail.  Coincident parameters only merge poles off the line, so
+they need no special treatment.  Scalar and array arguments go through
+specfun's one pointwise front, as gg_pdf and z2_pdf do.
 
 Closing the line of F to the left picks up the residues of -x^-s E[Z^s] / s;
 z_cdf_asymptotic sums those nearest the origin, each by the trapezoidal rule
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import special as sp
@@ -44,9 +46,10 @@ from .specfun import (
     DegenerateParametersError,
     DomainError,
     _GUARD_REL,
+    _GammaKernel,
     _degenerate_pairs,
     _mb_integral,
-    _psi,
+    _pointwise,
 )
 
 __all__ = [
@@ -179,67 +182,24 @@ class CompositeProduct:
         return self._replicas[times]
 
 
-class _MellinLaw:
+class _MellinLaw(_GammaKernel):
     """log E[Z^s] = s log_scale + log_norm + sum lnGamma(shape + s)
-    - sum ln(xi + s), with its real slices used to place a line: the kernel
-    that specfun._mb_integral integrates.  Complex lnGamma is taken once per
-    distinct shape (identical links repeat them) and gathered back to every
-    shape's row, so the sum over shapes is that over all rows bit for bit;
-    without pointing factors their terms are skipped.  The real slices run
-    on floats, once per distinct shape times its count."""
+    - sum ln(xi + s): the kernel that specfun._mb_integral integrates for
+    z_cdf and z_pdf, with the bounds of its strip (b_min) and E[ln Z]."""
 
     def __init__(self, ch: CompositeProduct):
         shapes = [g.alpha for g in ch.gg_links] + [g.beta for g in ch.gg_links]
-        distinct = list(dict.fromkeys(shapes))
-        self.shapes = np.array(shapes)
-        self.distinct = np.array(distinct)
-        self.rows = np.array([distinct.index(b) for b in shapes])
-        self.counts = tuple((b, shapes.count(b)) for b in distinct)
         xis = [p.xi for p in ch.pe_links]
-        self.xis = np.array(xis)
-        self.pointing = tuple(xis)
-        self.log_scale = (sum(math.log(g.omega / (g.alpha * g.beta)) for g in ch.gg_links)
-                          + sum(math.log(p.a_o) for p in ch.pe_links))
+        log_scale = (sum(math.log(g.omega / (g.alpha * g.beta)) for g in ch.gg_links)
+                     + sum(math.log(p.a_o) for p in ch.pe_links))
+        super().__init__([(b, 1.0, 1) for b in shapes], xis, log_scale)
+        # the constant term, once per distinct shape times its count
         self.log_norm = (sum(math.log(xi) for xi in xis)
-                         - sum(k * math.lgamma(b) for b, k in self.counts))
-        self.poles = -np.array(shapes + xis)
+                         - sum(k * math.lgamma(b) for b, k in self.plus))
+        self.shapes = np.array(shapes)
         self.b_min = min(shapes + xis)
-        # |E[Z^(c + it)]| falls like exp(-N pi |t|)
-        self.decay = math.pi * ch.n
         # E[ln Z], the slope of log E[Z^s] at s = 0
         self.mean_log = self.slopes(0.0, 0.0, False)[0]
-
-    def log_moment(self, s):
-        """log E[Z^s] on the complex array s."""
-        out = s * self.log_scale + self.log_norm
-        out = out + sp.loggamma(self.distinct[:, None] + s)[self.rows].sum(axis=0)
-        if self.xis.size:
-            out = out - np.log(self.xis[:, None] + s).sum(axis=0)
-        return out
-
-    def log_size(self, c, lx, pole):
-        """log of the real integrand x^-c E[Z^c] (over |c| when pole)."""
-        v = c * (self.log_scale - lx) + self.log_norm
-        for b, k in self.counts:
-            v += k * math.lgamma(b + c)
-        for xi in self.pointing:
-            v -= math.log(xi + c)
-        return v - math.log(abs(c)) if pole else v
-
-    def slopes(self, c, lx, pole):
-        """First and second derivative of log_size in c."""
-        g, g2 = self.log_scale - lx, 0.0
-        for b, k in self.counts:
-            p, p1 = _psi(b + c)
-            g += k * p
-            g2 += k * p1
-        for xi in self.pointing:
-            v = 1.0 / (xi + c)
-            g -= v
-            g2 += v * v
-        if pole:
-            g, g2 = g - 1.0 / c, g2 + 1.0 / (c * c)
-        return g, g2
 
 
 def _line_integral(law: _MellinLaw, lx, kind, lead=0.0):
@@ -263,29 +223,6 @@ def _accuracy_fail(what, val, err):
         f"{what} evaluation lost too much precision "
         f"(value ~ {val:.6e}, error estimate {err:.1e})"
     )
-
-
-def _as_array(x, allow_zero=False):
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if not (xx >= 0 if allow_zero else xx > 0).all():
-        if np.isnan(xx).any():
-            raise DomainError("argument must not be NaN")
-        raise DomainError("argument must be positive")
-    return xx, scalar
-
-
-def _pointwise(at, law, x, allow_zero=False):
-    """at(law, v) at each point v of x, all checked first: a float for a
-    scalar x, otherwise an array of the shape of x."""
-    xx = np.asarray(x, dtype=float)
-    points = xx.ravel().tolist()
-    for v in points:
-        if not (v >= 0.0 if allow_zero else v > 0.0):
-            raise DomainError("argument must not be NaN" if v != v
-                              else "argument must be positive")
-    out = [at(law, v) for v in points]
-    return float(out[0]) if xx.ndim == 0 else np.array(out).reshape(xx.shape)
 
 
 def _cdf_at(law: _MellinLaw, x):
@@ -325,13 +262,13 @@ def z_cdf(ch: CompositeProduct, x):
     small side of the distribution keeps its relative precision.  Raises
     AccuracyError when the error estimate exceeds the refusal guard.
     """
-    return _pointwise(_cdf_at, ch._law, x, allow_zero=True)
+    return _pointwise(partial(_cdf_at, ch._law), x, allow_zero=True)
 
 
 def z_pdf(ch: CompositeProduct, x):
     """PDF of the composite product Z at x > 0 (scalar or array), by the
     Mellin-Barnes integral on its saddle line."""
-    return _pointwise(_pdf_at, ch._law, x)
+    return _pointwise(partial(_pdf_at, ch._law), x)
 
 
 def _pole_clusters(law: _MellinLaw, rho):
@@ -403,7 +340,7 @@ def z_cdf_asymptotic(ch: CompositeProduct, x):
     the x^b (ln 1/x)^k terms of a multiple pole.  The next two clusters'
     residues estimate the error; beyond 1e-2 of the value, or for a limit
     above 1, it raises AccuracyError (use z_cdf there)."""
-    return _pointwise(_asymptote_at, ch._law, x, allow_zero=True)
+    return _pointwise(partial(_asymptote_at, ch._law), x, allow_zero=True)
 
 
 def z1_pdf(links, x):
@@ -418,19 +355,12 @@ def z1_cdf(links, x):
 
 def gg_pdf(p: GammaGammaParams, x):
     """Single-link Gamma-Gamma PDF via the Bessel-K closed form."""
-    xx, scalar = _as_array(x)
     s = 0.5 * (p.alpha + p.beta)
     rate = p.alpha * p.beta / p.omega
-    arg = 2.0 * np.sqrt(rate * xx)
     nu = abs(p.alpha - p.beta)
-    val = (
-        2.0
-        / (math.gamma(p.alpha) * math.gamma(p.beta))
-        * rate**s
-        * xx ** (s - 1.0)
-        * sp.kv(nu, arg)
-    )
-    return float(val[0]) if scalar else val
+    c = 2.0 / (math.gamma(p.alpha) * math.gamma(p.beta)) * rate**s
+    return _pointwise(
+        lambda v: c * np.power(v, s - 1.0) * sp.kv(nu, 2.0 * math.sqrt(rate * v)), x)
 
 
 def z2_pdf(links, x):
@@ -451,28 +381,21 @@ def z2_pdf(links, x):
             "use the composite z_pdf for heterogeneous exponents"
         )
     xi = xis[0]
-    edge = 1.0
-    for p in links:
-        edge *= p.a_o
-    xx, scalar = _as_array(x)
-    out = np.zeros_like(xx)
-    inside = xx <= edge
-    xin = xx[inside]
-    if xin.size:
-        if big_l >= 5:
-            log_c = -math.lgamma(big_l) + sum(math.log(p.xi) for p in links)
-            log_c -= sum(p.xi * math.log(p.a_o) for p in links)
-            with np.errstate(divide="ignore"):
-                log_ln = np.where(
-                    xin < edge, (big_l - 1) * np.log(np.log(edge / xin)), -np.inf
-                )
-            out[inside] = np.exp(log_c + (xi - 1.0) * np.log(xin) + log_ln)
-        else:
-            c = 1.0 / math.factorial(big_l - 1)
-            for p in links:
-                c *= p.xi / p.a_o**p.xi
-            out[inside] = c * xin ** (xi - 1.0) * np.log(edge / xin) ** (big_l - 1)
-    return float(out[0]) if scalar else out
+    edge = math.prod(p.a_o for p in links)
+    # in log space and relative to the edge: the constant
+    # prod xi / A_o^xi = xi^L / edge^xi overflows a double long before the
+    # density does (large xi, small A_o)
+    log_c = sum(math.log(p.xi) for p in links) - math.lgamma(big_l) - math.log(edge)
+
+    def at(v):
+        if v > edge:
+            return 0.0
+        # ln(edge / v)^(L - 1) is 1 for L = 1, also at the edge, and 0 there
+        # for L > 1
+        return np.exp(log_c + (xi - 1.0) * math.log(v / edge)
+                      + sp.xlogy(big_l - 1, math.log(edge / v)))
+
+    return _pointwise(at, x)
 
 
 def sample_z(ch: CompositeProduct, rng: np.random.Generator, count: int):

@@ -1,11 +1,8 @@
 """Special functions used by the product-channel statistics.
 
 Gamma and erf come from the C library and the modified Bessel function K
-from scipy, behind small validating wrappers.  Digamma and trigamma are
-written here (`_psi`) for the saddle search of the line integral below,
-which runs on Python floats with the C library's lnGamma; from
-scipy.special the line takes only the complex lnGamma.  A Meijer G
-function is its Mellin-Barnes integral,
+from scipy, behind small validating wrappers.  A Meijer G function is its
+Mellin-Barnes integral,
 
     G^{m,n}_{p,q}(x | a; b) = (1/(2 pi i)) int Phi(s) x^-s ds,
     Phi(s) = prod_{j<=m} Gamma(b_j+s) prod_{j<=n} Gamma(1-a_j-s)
@@ -14,15 +11,25 @@ function is its Mellin-Barnes integral,
 along a vertical line that separates the poles of Gamma(b_j+s) from those
 of Gamma(1-a_j-s).  `meijer_g` accepts the two structural families the
 product-channel closed forms use (m = q, n = 0 and m = q - 1, n = 1, both
-with p < q).  On a vertical line their integrand decays like
-exp(-(q-p) pi |t| / 2), so the trapezoidal rule converges exponentially
-(Trefethen & Weideman, SIAM Rev. 56, 2014), also after the change of
-variable t = w sinh(u).  `_mb_integral` is that rule, shared with the Mellin
-transform of the composite channel in `distributions`: the line sits at the
-saddle of the real integrand, the step follows from the pole-free strip
-around it, the map's angle from how fast the integrand grows across the line
-against how fast it falls up it, and the sum on twice the step, taken from
-the same nodes, gives the error estimate.
+with p < q).
+
+Every Mellin-Barnes integral of the package has one kernel, `_GammaKernel`:
+a product of Gamma(base + s) and Gamma(base - s) factors, in numerator or
+denominator, times a power of a scale and pointing factors 1 / (xi + s).
+Phi(s) is one; the Mellin transform E[Z^s] of the composite channel in
+`distributions`, whose PDF and CDF are Meijer G functions, is another.  On
+a vertical line it decays like exp(-pi |t| / 2) per net Gamma factor, so
+the trapezoidal rule converges exponentially (Trefethen & Weideman, SIAM
+Rev. 56, 2014), also after the change of variable t = w sinh(u).
+`_mb_integral` is that rule: the line sits at the saddle of the real
+integrand, the step follows from the pole-free strip around it, the map's
+angle from how fast the integrand grows across the line against how fast it
+falls up it, and the sum on twice the step, taken from the same nodes,
+gives the error estimate.  The saddle search runs on Python floats, with
+the C library's lnGamma and the digamma and trigamma written here (`_psi`);
+from scipy.special the line takes only the complex lnGamma.  `_pointwise`
+checks every point of a scalar or array argument and then evaluates them
+one at a time, so the two agree bit for bit.
 
 Slater's theorem (Gradshteyn & Ryzhik 9.303) writes the same G as a finite
 sum of pFq series weighted by gamma ratios.  `build_slater_expansion` gives
@@ -360,6 +367,106 @@ def _psi(x):
     return p, p1
 
 
+class _GammaKernel:
+    """log K(s) = s log_scale + log_norm + sum_rows power lnGamma(base + sign s)
+    - sum ln(xi + s), sign and power +-1: the integrand that _mb_integral
+    sums, a Meijer G's Phi(s) and the Mellin transform E[Z^s] of the
+    composite channel alike.  Rows are merged per distinct (base, sign),
+    which identical links repeat, into `plus` (sign +1) and `minus` (sign
+    -1) with their net powers.  Complex lnGamma is taken once per distinct
+    pair and gathered back to every row, so the sum over rows is that over
+    all rows bit for bit; absent minus, denominator or pointing rows cost
+    nothing.  The real slices run on floats, once per pair times its net
+    power."""
+
+    def __init__(self, rows, xis=(), log_scale=0.0):
+        power = {}  # net power per (base, sign)
+        for b, sign, pw in rows:
+            power[b, sign] = power.get((b, sign), 0) + pw
+        self.plus = [(b, k) for (b, sign), k in power.items() if sign > 0]
+        self.minus = [(b, k) for (b, sign), k in power.items() if sign < 0]
+        self.base = np.array([b for b, _ in self.plus])
+        keys = [(b, 1) for b, _ in self.plus] + [(b, -1) for b, _ in self.minus]
+        self.up = np.array([keys.index((b, sign)) for b, sign, pw in rows if pw > 0])
+        self.down = [keys.index((b, sign)) for b, sign, pw in rows if pw < 0]
+        self.xis = np.array(xis)
+        self.pointing = tuple(xis)
+        self.log_scale, self.log_norm = log_scale, 0.0
+        # the poles next to the strip: those of the numerator's Gammas and of
+        # 1 / (xi + s); |K(c + it)| falls like exp(-decay |t|), by pi / 2 per
+        # net Gamma
+        self.poles = np.array([-b for b, k in self.plus if k > 0]
+                              + [b for b, k in self.minus if k > 0] + [-xi for xi in xis])
+        self.decay = 0.5 * math.pi * sum(power.values())
+
+    def log_moment(self, s):
+        """log K on the complex array s."""
+        lg = sp.loggamma(self.base[:, None] + s)
+        if self.minus:
+            mirror = np.subtract.outer([b for b, _ in self.minus], s)
+            lg = np.concatenate((lg, sp.loggamma(mirror)))
+        out = s * self.log_scale + self.log_norm + lg[self.up].sum(axis=0)
+        if self.down:
+            out = out - lg[self.down].sum(axis=0)
+        if self.xis.size:
+            out = out - np.log(self.xis[:, None] + s).sum(axis=0)
+        return out
+
+    def log_size(self, c, lx, pole):
+        """log of the real integrand x^-c K(c) (over |c| when pole)."""
+        v = c * (self.log_scale - lx) + self.log_norm
+        for b, k in self.plus:
+            v += k * math.lgamma(b + c)
+        for b, k in self.minus:
+            v += k * math.lgamma(b - c)
+        for xi in self.pointing:
+            v -= math.log(xi + c)
+        return v - math.log(abs(c)) if pole else v
+
+    def slopes(self, c, lx, pole):
+        """First and second derivative of log_size in c."""
+        g, g2 = self.log_scale - lx, 0.0
+        for b, k in self.plus:
+            p, p1 = _psi(b + c)
+            g += k * p
+            g2 += k * p1
+        for b, k in self.minus:
+            p, p1 = _psi(b - c)
+            g -= k * p
+            g2 += k * p1
+        for xi in self.pointing:
+            v = 1.0 / (xi + c)
+            g -= v
+            g2 += v * v
+        if pole:
+            g, g2 = g - 1.0 / c, g2 + 1.0 / (c * c)
+        return g, g2
+
+
+def _meijer_kernel(spec: MeijerGSpec):
+    """Phi(s) of a Meijer G: Gamma(b_j + s), j <= m, and Gamma(1 - a_j - s),
+    j <= n, over Gamma(1 - b_j - s), j > m, and Gamma(a_j + s), j > n."""
+    m, n = spec.m, spec.n
+    return _GammaKernel([(b, 1.0, 1) for b in spec.b[:m]]
+                        + [(1.0 - a, -1.0, 1) for a in spec.a[:n]]
+                        + [(1.0 - b, -1.0, -1) for b in spec.b[m:]]
+                        + [(a, 1.0, -1) for a in spec.a[n:]])
+
+
+def _pointwise(at, x, allow_zero=False):
+    """at(v) at each point v of x, all checked to be positive (or zero, when
+    allowed) first: a float for a scalar x, otherwise an array of the shape
+    of x."""
+    xx = np.asarray(x, dtype=float)
+    points = xx.ravel().tolist()
+    for v in points:
+        if not (v >= 0.0 if allow_zero else v > 0.0):
+            raise DomainError("argument must not be NaN" if v != v
+                              else "argument must be positive")
+    out = [at(v) for v in points]
+    return float(out[0]) if xx.ndim == 0 else np.array(out).reshape(xx.shape)
+
+
 def _saddle(kern, lx, lo, hi, c, pole):
     """Minimum of the convex log_size on (lo, hi) by safeguarded Newton,
     with the curvature there.
@@ -397,10 +504,10 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     exponentiated, so a value it brings back from below the smallest double
     keeps its digits.
 
-    The kernel gives log M on complex arrays (`log_moment`), the real slice
-    log(x^-c M(c) / |c|^pole) and its first two derivatives in c on floats
-    (`log_size`, `slopes`), the poles next to the strip (`poles`), and the
-    rate at which |M(c + it)| falls in |t| far up the line (`decay`).  The
+    The _GammaKernel gives log M on complex arrays (`log_moment`), the real
+    slice log(x^-c M(c) / |c|^pole) and its first two derivatives in c on
+    floats (`log_size`, `slopes`), the poles next to the strip (`poles`), and
+    the rate at which |M(c + it)| falls in |t| far up the line (`decay`).  The
     Newton search starts from c; where it meets a pole of the real slice,
     or no minimum, the call refuses.  Every quantity depends on (kernel, lx)
     alone, so scalar and array callers agree bit for bit.  Where the peak on
@@ -476,11 +583,10 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     # Past the peak log|integrand| falls almost linearly in t.  The first
     # chunk reaches two nodes past where it crosses the floor on the line
     # through its value at height T, weight log cosh(u) = ln(1 + (t / w)^2)
-    # / 2 included, at the fall rate there; the rare later chunk
-    # extrapolates the last two nodes the same way (doubling where they do
-    # not fall; min(cap, .) also absorbs a NaN or infinite reach).  The sum
-    # stops at the first node below the floor, so the chunking never
-    # changes the value.
+    # / 2 included, at the fall rate there (min(cap, .) also absorbs a NaN
+    # or infinite reach); a chunk that falls short is followed by one twice
+    # its size.  The sum stops at the first node below the floor, so the
+    # chunking never changes the value.
     floor = peak + math.log(_MB_TOL)
     at_top = 0.5 * float(logv.real[2] + logv.real[3] + math.log1p((top / w) ** 2))
     reach = math.asinh(max(top + (at_top - floor) * 2.0 * a / fall, 0.0) / w)
@@ -489,11 +595,9 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     while True:
         n = min(n, _MB_MAX_NODES - k0)
         u = h * np.arange(k0, k0 + n)
-        t = w * np.sinh(u)
         # the weight dt/du = w cosh(u), its factor w taken out into the scale
-        logv = log_integrand(c + 1j * t) + np.log(np.cosh(u))
-        mag = logv.real
-        small = mag < floor
+        logv = log_integrand(c + 1j * (w * np.sinh(u))) + np.log(np.cosh(u))
+        small = logv.real < floor
         small[0] &= k0 > 0  # node 0 is the peak itself
         if small.any():
             chunks.append(logv[:int(np.argmax(small))])
@@ -504,61 +608,12 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
             raise AccuracyError(
                 f"Mellin-Barnes integral needs more than {_MB_MAX_NODES} nodes "
                 f"(ln x = {lx:.6g})")
-        slope = (mag[-1] - mag[-2]) / (t[-1] - t[-2])
-        if slope < 0.0:
-            reach = math.asinh((t[-1] + (floor - mag[-1]) / slope) / w)
-            n = int(min(_MB_MAX_NODES, (reach - u[-1]) / h)) + 2
-        else:
-            n = 2 * n
+        n *= 2
     re = np.exp(np.concatenate(chunks) - peak).real
     fine = 0.5 * re[0] + re[1:].sum()
     coarse = 2.0 * (0.5 * re[0] + re[2::2].sum())
     scale = h * w / math.pi * math.exp(peak + lead)
     return scale * fine, scale * abs(fine - coarse)
-
-
-class _MeijerGKernel:
-    """log Phi(s) of a Meijer G as a sum of +-lnGamma(base + sign s): the
-    factors Gamma(b_j+s), j <= m, and Gamma(1-a_j-s), j <= n, enter with
-    power +1, the factors 1/Gamma(1-b_j-s), j > m, and 1/Gamma(a_j+s),
-    j > n, with power -1.  The (base, sign, power) rows are kept as arrays
-    for the complex line and as float triples for its real slice."""
-
-    def __init__(self, spec: MeijerGSpec):
-        m, n, p, q = spec.m, spec.n, spec.p, spec.q
-        base = (spec.b[:m] + tuple(1.0 - a for a in spec.a[:n])
-                + tuple(1.0 - b for b in spec.b[m:]) + spec.a[n:])
-        sign = (1.0,) * m + (-1.0,) * (n + q - m) + (1.0,) * (p - n)
-        power = (1.0,) * (m + n) + (-1.0,) * (q - m + p - n)
-        self.rows = tuple(zip(base, sign, power))
-        self.base, self.sign, self.power = np.array(base), np.array(sign), np.array(power)
-        self.poles = np.array([-b for b in spec.b[:m]] + [1.0 - a for a in spec.a[:n]])
-        # |Phi(c + it)| falls like exp(-(q - p) pi |t| / 2)
-        self.decay = 0.5 * math.pi * (q - p)
-
-    def log_moment(self, s):
-        """log Phi on the complex array s."""
-        args = self.base[:, None] + self.sign[:, None] * s
-        return (self.power[:, None] * sp.loggamma(args)).sum(axis=0)
-
-    def log_size(self, c, lx, pole):
-        """log |x^-c Phi(c)| (over |c| when pole)."""
-        v = 0.0
-        for base, sign, power in self.rows:
-            v += power * math.lgamma(base + sign * c)
-        v -= c * lx
-        return v - math.log(abs(c)) if pole else v
-
-    def slopes(self, c, lx, pole):
-        """First and second derivative of log_size in c."""
-        g, g2 = -lx, 0.0
-        for base, sign, power in self.rows:
-            p, p1 = _psi(base + sign * c)
-            g += power * sign * p
-            g2 += power * p1
-        if pole:
-            g, g2 = g - 1.0 / c, g2 + 1.0 / (c * c)
-        return g, g2
 
 
 @dataclass(frozen=True)
@@ -579,31 +634,31 @@ def meijer_g(spec: MeijerGSpec, x):
     treatment for.  Raises DomainError unless x is positive and finite,
     UnsupportedSpecError when no vertical line separates the poles
     (a_1 - 1 >= min(b_1..b_m)), and AccuracyError when an error estimate
-    exceeds 3e-4 of |G|.
+    exceeds 3e-4 of |G|, or is 0 for a nonzero G (it has underflowed).
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.isfinite(xx).all():
+    x = _pointwise(float, x)  # every point is checked before any is evaluated
+    if not np.isfinite(x).all():
         raise DomainError("meijer_g requires finite x")
-    if not (xx > 0).all():
-        raise DomainError("meijer_g requires x > 0")
     lo = -min(spec.b[:spec.m])
     hi = 1.0 - spec.a[0] if spec.n else math.inf
     if not lo < hi:
         raise UnsupportedSpecError(
             f"no vertical line separates the poles of {spec}: "
             "a_1 - 1 >= min(b_1..b_m)")
-    kern = _MeijerGKernel(spec)
+    kern = _meijer_kernel(spec)
     c = 0.5 * (lo + hi) if spec.n else lo + 1.0
-    vals, errs = np.empty_like(xx), np.empty_like(xx)
-    for i, v in enumerate(xx.flat):
-        vals.flat[i], errs.flat[i] = _mb_integral(kern, math.log(v), lo, hi, c, False)
-    bad = ~(errs <= _GUARD_REL * np.abs(vals))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise AccuracyError(
-            f"Meijer G evaluation lost too much precision at x={xx.flat[i]:g} "
-            f"(value ~ {vals.flat[i]:.6e}, error estimate {errs.flat[i]:.1e})")
+    errs = [0.0]
+
+    def at(v):
+        val, err = _mb_integral(kern, math.log(v), lo, hi, c, False)
+        # an estimate that underflowed to 0 bounds nothing
+        if not (err <= _GUARD_REL * abs(val) and (err > 0.0 or val == 0.0)):
+            raise AccuracyError(
+                f"Meijer G evaluation lost too much precision at x={v:g} "
+                f"(value ~ {val:.6e}, error estimate {err:.1e})")
+        errs.append(err)
+        return val
+
+    value = _pointwise(at, x)
     accuracy = "perturbed" if _degenerate_pairs(spec.b[:spec.m]) else "clean"
-    return MeijerGValue(float(vals[0]) if scalar else vals, accuracy,
-                        float(errs.max()))
+    return MeijerGValue(value, accuracy, float(max(errs)))

@@ -1,0 +1,57 @@
+"""Independent references for the Meijer G closed forms, shared by the test
+modules: mpmath.meijerg sums the hypergeometric series at raised precision
+(integer-separated parameters perturbed), a route independent of the line
+integral.  Constants and arguments are taken at the same precision."""
+
+import mpmath
+
+from cascade_fading.specfun import MeijerGSpec
+
+
+def mpmath_meijer_g(spec, x):
+    """G^{m,n}_{p,q}(x | a; b) by mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.meijerg([spec.a[:spec.n], spec.a[spec.n:]],
+                                    [spec.b[:spec.m], spec.b[spec.m:]], x))
+
+
+def cdf_meijer_form(ch):
+    """(C, R, spec) with F(x) = C G(R x | spec), the paper's closed form.
+    C and R are mpmath numbers at the working precision: in double
+    precision C underflows to 0 for (60, 40)^3, and its rounding moves
+    1 - F by 6e-6 relative at 1 - F = 1e-10."""
+    q = 2 * ch.n + ch.l + 1
+    upper = (1.0,) + tuple(p.xi + 1.0 for p in ch.pe_links)
+    spec = MeijerGSpec(q - 1, 1, ch.l + 1, q, upper, ch.b_tuple + (0.0,))
+    c = (mpmath.fprod(mpmath.mpf(p.xi) for p in ch.pe_links)
+         / mpmath.fprod(mpmath.gamma(mpmath.mpf(g.alpha)) * mpmath.gamma(mpmath.mpf(g.beta))
+                        for g in ch.gg_links))
+    rate = (mpmath.fprod(mpmath.mpf(g.alpha) * g.beta / g.omega for g in ch.gg_links)
+            / mpmath.fprod(mpmath.mpf(p.a_o) for p in ch.pe_links))
+    return c, rate, spec
+
+
+def _cdf(ch, x):
+    c, rate, spec = cdf_meijer_form(ch)
+    return c * mpmath.meijerg([spec.a[:1], spec.a[1:]], [spec.b[:-1], spec.b[-1:]], x * rate)
+
+
+def mpmath_cdf(ch, x):
+    """F(x) from mpmath.meijerg at 30 digits."""
+    with mpmath.workdps(30):
+        return float(_cdf(ch, x))
+
+
+def mpmath_sf(ch, x):
+    """1 - F(x) from mpmath.meijerg at 40 digits: 1 - F keeps only the
+    digits of F beyond its leading nines."""
+    with mpmath.workdps(40):
+        return float(1 - _cdf(ch, x))
+
+
+def mpmath_pdf(ch, x, dps=30):
+    """f(x) = C / x G(R x | xi + 1; b) from mpmath.meijerg at dps digits."""
+    with mpmath.workdps(dps):
+        c, rate, _ = cdf_meijer_form(ch)
+        return float(c / mpmath.mpf(x) * mpmath.meijerg(
+            [[], [p.xi + 1.0 for p in ch.pe_links]], [list(ch.b_tuple), []], x * rate))

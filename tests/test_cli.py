@@ -381,6 +381,27 @@ class TestMainExitCodes:
         assert f"[atmosphere] {key}" in capsys.readouterr().err
         parse_config_text(f"{MINIMAL}\n[atmosphere]\n{key} = {default}\n")
 
+    @pytest.mark.parametrize("section,key", [
+        ("config", "senario"), ("sweep", "point"), ("transceiver", "kappa_tt"),
+        ("atmosphere", "cn_2"), ("link.1", "misalinged"), ("link.2", "omgea")])
+    def test_unknown_field_exits_2(self, section, key, tmp_path, capsys):
+        # a misspelt field would otherwise run with its default
+        text = f"{MINIMAL}\n[atmosphere]\n"
+        path = tmp_path / "typo.cfg"
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+        assert main(["run", str(path)]) == 2
+        assert f"[{section}] {key}: unknown field" in capsys.readouterr().err
+        parse_config_text(text)
+
+    # [link.4] is not read: the links stop at the first missing index, and
+    # the keys of [DEFAULT] would otherwise reach every section
+    @pytest.mark.parametrize("section", ["link.4", "transciever", "DEFAULT"])
+    def test_unknown_section_exits_2(self, section, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text(f"{MINIMAL}\n[{section}]\nalpha = 1\n")
+        assert main(["run", str(path)]) == 2
+        assert f"[{section}] -: unknown section" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["mc", "both"])
     @pytest.mark.parametrize("flag,value", [
         ("--seed", "-1"), ("--seed", str(1 << 128)), ("--samples", "0")])

@@ -35,6 +35,7 @@ from cascade_fading.specfun import (
     bessel_k,
     build_slater_expansion,
 )
+from mpmath_oracles import cdf_meijer_form, mpmath_cdf, mpmath_pdf, mpmath_sf
 
 WEAK = GammaGammaParams(10.02, 2.98)
 STRONG = GammaGammaParams(4.942, 1.231)
@@ -163,6 +164,18 @@ class TestZ2:
         expect = (1.0 / math.factorial(4) * (4.2 / 0.9**4.2) ** 5
                   * x ** (4.2 - 1.0) * math.log(edge / x) ** 4)
         assert z2_pdf(links, x) == pytest.approx(expect, rel=1e-12)
+
+    def test_log_space_path_l4(self):
+        # the constant prod xi / A_o^xi, about 1e637 here, overflows a
+        # double; the density does not (closed form at 40 digits)
+        links = (PointingErrorParams(300.0, 0.3),) * 4
+        x = 0.99 * 0.3**4
+        with mpmath.workdps(40):
+            xi, a, xm = mpmath.mpf(300.0), mpmath.mpf(0.3), mpmath.mpf(x)
+            expect = float(xi**4 / 6 / a**1200 * xm**299 * mpmath.log(a**4 / xm) ** 3)
+        assert z2_pdf(links, x) == pytest.approx(expect, rel=1e-12)
+        # one link at its edge: xi / A_o
+        assert z2_pdf((PointingErrorParams(2.0, 0.5),), 0.5) == 4.0
 
 
 class TestComposite:
@@ -370,7 +383,7 @@ class TestAsymptote:
                              ids=["weak2", "weak3_pe"])
     def test_coincident_against_mpmath(self, ch):
         # the paper's closed form by mpmath's hypergeometric series
-        assert z_cdf_asymptotic(ch, 1e-6) == pytest.approx(_mpmath_cdf(ch, 1e-6), rel=1e-6)
+        assert z_cdf_asymptotic(ch, 1e-6) == pytest.approx(mpmath_cdf(ch, 1e-6), rel=1e-6)
 
     def test_pointing_pole_far_from_gamma_poles(self):
         # the strip holds only -xi; the next clusters start 38 units left
@@ -420,54 +433,11 @@ class TestAsymptote:
             z_cdf_asymptotic(ch, 1e-3)
 
 
-def _cdf_meijer_form(ch):
-    """(C, R, spec) with F(x) = C G(R x | spec), the paper's closed form."""
-    q = 2 * ch.n + ch.l + 1
-    upper = (1.0,) + tuple(p.xi + 1.0 for p in ch.pe_links)
-    spec = MeijerGSpec(q - 1, 1, ch.l + 1, q, upper, ch.b_tuple + (0.0,))
-    rate = math.prod(g.alpha * g.beta / g.omega for g in ch.gg_links)
-    rate /= math.prod(p.a_o for p in ch.pe_links)
-    log_c = (sum(math.log(p.xi) for p in ch.pe_links)
-             - sum(math.lgamma(g.alpha) + math.lgamma(g.beta) for g in ch.gg_links))
-    return math.exp(log_c), rate, spec
-
-
-def _mpmath_cdf(ch, x):
-    """F(x) from mpmath.meijerg at 30 digits."""
-    c, rate, spec = _cdf_meijer_form(ch)
-    with mpmath.workdps(30):
-        return float(c * mpmath.meijerg([spec.a[:1], spec.a[1:]],
-                                        [spec.b[:-1], spec.b[-1:]], x * rate))
-
-
-def _mpmath_pdf(ch, x, dps=30):
-    """f(x) = C / x G(R x | xi + 1; b) from mpmath.meijerg at dps digits."""
-    c, rate, spec = _cdf_meijer_form(ch)
-    with mpmath.workdps(dps):
-        return float(c / mpmath.mpf(x) * mpmath.meijerg(
-            [[], [p.xi + 1.0 for p in ch.pe_links]], [list(ch.b_tuple), []], x * rate))
-
-
-def _mpmath_sf(ch, x):
-    """1 - F(x) from mpmath.meijerg at 40 digits.  1 - F keeps only the
-    digits of F beyond its leading nines, so the constant and the argument
-    of the closed form are taken at 40 digits too."""
-    _, _, spec = _cdf_meijer_form(ch)
-    with mpmath.workdps(40):
-        c = (mpmath.fprod(mpmath.mpf(p.xi) for p in ch.pe_links)
-             / mpmath.fprod(mpmath.gamma(mpmath.mpf(g.alpha)) * mpmath.gamma(mpmath.mpf(g.beta))
-                            for g in ch.gg_links))
-        rate = (mpmath.fprod(mpmath.mpf(g.alpha) * g.beta / g.omega for g in ch.gg_links)
-                / mpmath.fprod(mpmath.mpf(p.a_o) for p in ch.pe_links))
-        return float(1 - c * mpmath.meijerg([spec.a[:1], spec.a[1:]],
-                                            [spec.b[:-1], spec.b[-1:]], x * rate))
-
-
 def _strip_slater(ch, x):
     """The CDF's Slater series cut to the powers x^(b + k) with
     b + k <= b_min + 1: each term of build_slater_expansion times the pFq
     series of its parameters, summed by the term recurrence."""
-    c, rate, spec = _cdf_meijer_form(ch)
+    c, rate, spec = cdf_meijer_form(ch)
     expansion = build_slater_expansion(spec)
     z = x * rate
     edge = min(ch.b_tuple) + 1.0
@@ -479,7 +449,7 @@ def _strip_slater(ch, x):
             term *= (math.prod(a + k for a in t.a_params) / math.prod(b + k for b in t.b_params)
                      * expansion.argument_sign * z / (k + 1))
             k += 1
-    return c * total
+    return float(c * total)
 
 
 class TestAsymptoteProperties:
@@ -690,8 +660,8 @@ class TestNodeSchedule:
         assert count.nodes == 4 + specfun._MB_MAX_NODES
 
     def test_short_first_chunk_is_continued(self, monkeypatch):
-        # where the first chunk's reach falls short, later chunks
-        # extrapolated from its last nodes carry the sum to the same cut
+        # where the first chunk's reach falls short, later chunks, each
+        # twice the size of the one before, carry the sum to the same cut
         law = SCALAR_CHANNELS["clean_pair"]._law
         for x in (1e-6, 0.3, 20.0):
             for kind in "FQf":
@@ -781,8 +751,8 @@ class TestDeepTailOracle:
     def test_cdf_and_pdf(self, label):
         ch = DEEP_TAIL_CHANNELS[label]
         for x in DEEP_TAIL[label]:
-            assert z_cdf(ch, x) == pytest.approx(_mpmath_cdf(ch, x), rel=1e-13, abs=0.0)
-            assert z_pdf(ch, x) == pytest.approx(_mpmath_pdf(ch, x), rel=1e-13, abs=0.0)
+            assert z_cdf(ch, x) == pytest.approx(mpmath_cdf(ch, x), rel=1e-13, abs=0.0)
+            assert z_pdf(ch, x) == pytest.approx(mpmath_pdf(ch, x), rel=1e-13, abs=0.0)
 
 
 FAR_TAIL_CHANNELS = {
@@ -803,8 +773,8 @@ class TestFarTailOracle:
     def test_cdf_and_pdf(self, label):
         ch = FAR_TAIL_CHANNELS[label]
         for x in (1e-100, 1e-30, 1e-15, 1e-10, 1e-7):
-            assert z_cdf(ch, x) == pytest.approx(_mpmath_cdf(ch, x), rel=1e-12, abs=0.0), x
-            assert z_pdf(ch, x) == pytest.approx(_mpmath_pdf(ch, x), rel=1e-12, abs=0.0), x
+            assert z_cdf(ch, x) == pytest.approx(mpmath_cdf(ch, x), rel=1e-12, abs=0.0), x
+            assert z_pdf(ch, x) == pytest.approx(mpmath_pdf(ch, x), rel=1e-12, abs=0.0), x
 
 
 # x where 1 - F is about 1e-2, 1e-6 and 1e-10
@@ -832,7 +802,7 @@ class TestUpperTailOracle:
         ch = UPPER_TAIL_CHANNELS[label]
         law = ch._law
         for x in UPPER_TAIL[label]:
-            sf = _mpmath_sf(ch, x)
+            sf = mpmath_sf(ch, x)
             assert math.log(x) >= law.mean_log  # the Q branch
             q = distributions._line_integral(law, math.log(x), "Q")[0]
             assert q == pytest.approx(sf, rel=1e-12, abs=0.0), x
@@ -843,7 +813,7 @@ class TestSubnormalScale:
     def test_pdf_keeps_its_digits(self):
         # x f(x) is 3e-317 here, subnormal: f is formed without it
         ch = CompositeProduct((GammaGammaParams(35.9, 1.056),), (PointingErrorParams(7.73, 0.677),))
-        assert z_pdf(ch, 1e-300) == pytest.approx(_mpmath_pdf(ch, 1e-300, dps=60), rel=1e-12, abs=0.0)
+        assert z_pdf(ch, 1e-300) == pytest.approx(mpmath_pdf(ch, 1e-300, dps=60), rel=1e-12, abs=0.0)
 
     def test_pdf_with_an_underflowed_estimate_refuses(self):
         # f(1e-160) of one weak link is about 1e-317: its error estimate
@@ -853,35 +823,8 @@ class TestSubnormalScale:
 
 
 class TestMellinLawSlices:
-    """The float real slices of the Mellin law against the scipy
-    expressions they replaced, on the lines of F, Q and f."""
-
-    @pytest.mark.parametrize("label", UPPER_TAIL_CHANNELS)
-    def test_match_scipy(self, label):
-        sp = distributions.sp
-        law = UPPER_TAIL_CHANNELS[label]._law
-        shapes, xis = law.shapes, law.xis
-        assert law.log_norm == pytest.approx(
-            np.log(xis).sum() - sp.gammaln(shapes).sum(), rel=1e-14, abs=1e-14)
-        assert law.mean_log == pytest.approx(
-            law.log_scale + sp.digamma(shapes).sum() - (1.0 / xis).sum(), rel=1e-14, abs=1e-14)
-        lines = [(c, True) for c in np.linspace(-law.b_min, 0.0, 31)[1:-1]]
-        lines += [(c, True) for c in np.linspace(0.0, 10.0, 31)[1:]]
-        lines += [(c, False) for c in np.linspace(-law.b_min, 10.0, 41)[1:]]
-        for c, pole in lines:
-            c = float(c)
-            for lx in (-27.6, law.mean_log, 4.6):
-                size = (c * (law.log_scale - lx) + law.log_norm + sp.gammaln(shapes + c).sum()
-                        - np.log(xis + c).sum() - (math.log(abs(c)) if pole else 0.0))
-                g = (law.log_scale - lx + sp.digamma(shapes + c).sum() - (1.0 / (xis + c)).sum()
-                     - (1.0 / c if pole else 0.0))
-                g2 = (sp.zeta(2.0, shapes + c).sum() + ((xis + c) ** -2.0).sum()
-                      + (1.0 / (c * c) if pole else 0.0))
-                got = law.log_size(c, lx, pole), *law.slopes(c, lx, pole)
-                scale = np.abs(sp.gammaln(shapes + c)).sum() + abs(c * lx) + 1.0
-                assert abs(got[0] - size) <= 1e-13 * scale, (c, lx, pole)
-                assert got[1] == pytest.approx(g, rel=1e-13, abs=1e-13 * (abs(lx) + 1.0)), (c, lx, pole)
-                assert got[2] == pytest.approx(g2, rel=1e-13), (c, lx, pole)
+    """The real slices of the line integral's kernel run on floats; their
+    values against scipy are pinned by test_specfun's TestMeijerGKernel."""
 
     def test_no_real_scipy_function_on_the_path(self, monkeypatch):
         # the saddle search, the law and the meijer_g kernel use math and

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special as sp
 
 from cascade_fading import specfun
+from cascade_fading.distributions import CompositeProduct, GammaGammaParams, PointingErrorParams
 from cascade_fading.specfun import (
     AccuracyError,
     DegenerateParametersError,
@@ -23,6 +24,7 @@ from cascade_fading.specfun import (
     meijer_g,
     pfq,
 )
+from mpmath_oracles import mpmath_meijer_g
 
 # High-precision reference values, frozen from a 200-digit offline
 # computation (series summation / reflection identities).
@@ -236,7 +238,7 @@ class TestSlaterExpansion:
             rebuilt = sum(t.coefficient * x**t.exponent
                           * pfq(t.a_params, t.b_params, exp.argument_sign * x)[0]
                           for t in exp.terms)
-            assert rebuilt == pytest.approx(_mpmath_meijer_g(clean, x), rel=1e-10)
+            assert rebuilt == pytest.approx(mpmath_meijer_g(clean, x), rel=1e-10)
             direct = meijer_g(clean, x)
             near = MeijerGSpec(3, 1, 2, 4, (1.0, 7.7), (4.94, 4.94 - 3.0, 6.7, 0.0))
             pert = meijer_g(near, x)
@@ -252,15 +254,6 @@ class TestSlaterExpansion:
             direct = meijer_g(spec, float(x))
             rhs = 2.0 * x ** ((5.2 + 2.17) / 2) * bessel_k(5.2 - 2.17, 2 * math.sqrt(x))
             assert direct.value == pytest.approx(rhs, rel=2e-7)
-
-
-def _mpmath_meijer_g(spec, x):
-    """G^{m,n}_{p,q}(x | a; b) by mpmath at 30 digits: hypergeometric
-    series, with integer-separated parameters perturbed at raised
-    precision."""
-    with mpmath.workdps(30):
-        return float(mpmath.meijerg([spec.a[:spec.n], spec.a[spec.n:]],
-                                    [spec.b[:spec.m], spec.b[spec.m:]], x))
 
 
 ORACLE_CASES = {
@@ -287,7 +280,7 @@ class TestMeijerGOracle:
         spec, xs = ORACLE_CASES[case]
         vec = meijer_g(spec, np.array(xs)).value
         for x, v in zip(xs, vec):
-            assert v == pytest.approx(_mpmath_meijer_g(spec, x), rel=1e-13), x
+            assert v == pytest.approx(mpmath_meijer_g(spec, x), rel=1e-13), x
             assert meijer_g(spec, x).value == v
 
     def test_non_finite_argument_rejected(self):
@@ -326,7 +319,14 @@ class TestMeijerGOracle:
             value = meijer_g(spec, x).value
         except AccuracyError:
             return
-        assert value == pytest.approx(_mpmath_meijer_g(spec, x), rel=1e-13)
+        assert value == pytest.approx(mpmath_meijer_g(spec, x), rel=1e-13)
+
+    def test_underflowed_estimate_refused(self):
+        # G is subnormal here and its error estimate underflows to 0, which
+        # bounds nothing
+        spec = MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.23, 0.0))
+        with pytest.raises(AccuracyError):
+            meijer_g(spec, 1e-260)
 
     def test_no_saddle_refused(self):
         # 1/Gamma(0.1 + s) vanishes inside the strip, so the real integrand
@@ -357,26 +357,72 @@ class TestPsi:
             specfun._psi(x)
 
 
-class TestMeijerGKernel:
-    """The float real slice of the line integral's kernel against the scipy
-    expressions it replaced, across each strip of ORACLE_CASES."""
+G, P = GammaGammaParams, PointingErrorParams
+WEAK, STRONG = G(10.02, 2.98), G(4.942, 1.231)
+# the channels whose upper tails test_distributions pins against mpmath
+LAW_CASES = {
+    "clean_pair": CompositeProduct((WEAK, STRONG)),
+    "pointing_pair": CompositeProduct((WEAK, STRONG), (P(6.7, 0.8), P(5.1, 0.9))),
+    "coincident_pair": CompositeProduct((WEAK, WEAK)),
+    "weak3_pe2": CompositeProduct((WEAK,) * 3, (P(6.7, 0.8), P(1.5, 0.7))),
+    "g60_40_cubed": CompositeProduct((G(60.0, 40.0),) * 3),
+}
 
-    @pytest.mark.parametrize("case", ORACLE_CASES)
-    def test_real_slice_matches_scipy(self, case):
+
+def _slice_case(case):
+    """(kernel, lines (c, pole), ln x values): a meijer_g spec's Phi across
+    its strip, or the Mellin law of a channel on the lines of F, Q and f."""
+    if case in ORACLE_CASES:
         spec = ORACLE_CASES[case][0]
-        kern = specfun._MeijerGKernel(spec)
         lo = -min(spec.b[:spec.m])
         hi = 1.0 - spec.a[0] if spec.n else lo + 30.0
-        for c in np.linspace(lo, hi, 41)[1:-1].tolist():
-            args = kern.base + kern.sign * c
-            for lx in (-27.6, 0.0, 9.2):
-                terms = kern.power * sp.gammaln(args)
-                size = terms.sum() - c * lx
-                g = (kern.power * kern.sign * sp.digamma(args)).sum() - lx
-                g2 = (kern.power * sp.zeta(2.0, args)).sum()
-                got = kern.log_size(c, lx, False), *kern.slopes(c, lx, False)
-                scales = (np.abs(terms).sum() + abs(c * lx) + 1.0,
-                          np.abs(sp.digamma(args)).sum() + abs(lx) + 1.0,
-                          np.abs(sp.zeta(2.0, args)).sum() + 1.0)
-                for v, want, scale in zip(got, (size, g, g2), scales):
-                    assert abs(v - want) <= 1e-13 * scale, (c, lx)
+        lines = [(c, False) for c in np.linspace(lo, hi, 41)[1:-1]]
+        return specfun._meijer_kernel(spec), lines, (-27.6, 0.0, 9.2)
+    law = LAW_CASES[case]._law
+    lines = [(c, True) for c in np.linspace(-law.b_min, 0.0, 31)[1:-1]]
+    lines += [(c, True) for c in np.linspace(0.0, 10.0, 31)[1:]]
+    lines += [(c, False) for c in np.linspace(-law.b_min, 10.0, 41)[1:]]
+    return law, lines, (-27.6, law.mean_log, 4.6)
+
+
+class TestMeijerGKernel:
+    """The float real slices of the one gamma-product kernel behind every
+    Mellin-Barnes integral, a Meijer G's Phi(s) as meijer_g builds it and
+    the Mellin law E[Z^s] of a channel (whose PDF is a Meijer G), against
+    the scipy expressions they replaced."""
+
+    @pytest.mark.parametrize("case", [*ORACLE_CASES, *LAW_CASES])
+    def test_real_slice_matches_scipy(self, case):
+        kern, lines, lxs = _slice_case(case)
+        base, sign, k = (np.array(v) for v in zip(*[(b, 1.0, k) for b, k in kern.plus],
+                                                  *[(b, -1.0, k) for b, k in kern.minus]))
+        xis = kern.xis
+        if case in LAW_CASES:
+            shapes = kern.shapes
+            assert kern.log_norm == pytest.approx(
+                np.log(xis).sum() - sp.gammaln(shapes).sum(), rel=1e-14, abs=1e-14)
+            assert kern.mean_log == pytest.approx(
+                kern.log_scale + sp.digamma(shapes).sum() - (1.0 / xis).sum(),
+                rel=1e-14, abs=1e-14)
+        for c, pole in lines:
+            c = float(c)
+            args = base + sign * c
+            terms = k * sp.gammaln(args)
+            for lx in lxs:
+                size = (c * (kern.log_scale - lx) + kern.log_norm + terms.sum()
+                        - np.log(xis + c).sum() - (math.log(abs(c)) if pole else 0.0))
+                g = (kern.log_scale - lx + (k * sign * sp.digamma(args)).sum()
+                     - (1.0 / (xis + c)).sum() - (1.0 / c if pole else 0.0))
+                g2 = ((k * sp.zeta(2.0, args)).sum() + ((xis + c) ** -2.0).sum()
+                      + (1.0 / (c * c) if pole else 0.0))
+                got = kern.log_size(c, lx, pole), *kern.slopes(c, lx, pole)
+                scale = np.abs(terms).sum() + abs(c * lx) + 1.0
+                assert abs(got[0] - size) <= 1e-13 * scale, (c, lx, pole)
+                if case in LAW_CASES:
+                    assert got[1] == pytest.approx(g, rel=1e-13, abs=1e-13 * (abs(lx) + 1.0)), (c, lx, pole)
+                    assert got[2] == pytest.approx(g2, rel=1e-13), (c, lx, pole)
+                else:  # 1e-13 of the summed magnitudes of the rows
+                    assert abs(got[1] - g) <= 1e-13 * (
+                        np.abs(k * sp.digamma(args)).sum() + abs(lx) + 1.0), (c, lx)
+                    assert abs(got[2] - g2) <= 1e-13 * (
+                        np.abs(k * sp.zeta(2.0, args)).sum() + 1.0), (c, lx)
