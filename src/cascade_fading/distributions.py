@@ -35,6 +35,7 @@ on a circle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -70,6 +71,9 @@ __all__ = [
 # _GUARD_REL: the PDF's relative one, and the CDF's absolute slack.
 _GUARD_REL_PDF = 2e-3
 _GUARD_ABS = 1e-9
+
+# The log of the largest double: a density beyond it is returned as inf.
+_LOG_MAX = math.log(sys.float_info.max)
 
 # z_cdf_asymptotic: the refusal guard on its error estimate, relative; the
 # agreement of a residue's sums on n and n/2 nodes, relative to the mean term,
@@ -155,9 +159,10 @@ class CompositeProduct:
             + [p.xi for p in self.pe_links]
         )
 
-    @property
+    @cached_property
     def is_degenerate(self):
-        """True when the exponent tuple has an integer-separated pair."""
+        """True when the exponent tuple has an integer-separated pair;
+        scanned on first use and kept for the life of the channel."""
         return bool(_degenerate_pairs(self.b_tuple))
 
     @cached_property
@@ -354,13 +359,48 @@ def z1_cdf(links, x):
 
 
 def gg_pdf(p: GammaGammaParams, x):
-    """Single-link Gamma-Gamma PDF via the Bessel-K closed form."""
+    """Single-link Gamma-Gamma PDF via the Bessel-K closed form,
+    2 r^s / (Gamma(alpha) Gamma(beta)) x^(s - 1) K_nu(z), z = 2 sqrt(r x),
+    with s = (alpha + beta) / 2, nu = |alpha - beta| and r = alpha beta /
+    Omega.
+
+    It is taken in log space, ln K_nu(z) from scipy's scaled K_nu(z) e^z,
+    so that neither the power nor K_nu overflows or underflows far from the
+    bulk.  Where K_nu(z) e^z overflows (small z and nu > 1.9, or large nu),
+    ln K_nu(z) is summed up from the order nu - round(nu) by the recurrence
+    K_(mu+1) = K_(mu-1) + (2 mu / z) K_mu (DLMF 10.29.1) on the ratios
+    K_(mu+1) / K_mu, which it keeps to a few ulp (K grows with the order).
+    Past z ~ 1e9, where scipy gives NaN, K_nu(z) e^z is sqrt(pi / 2z) to
+    within (4 nu^2 - 1) / 8z (DLMF 10.40.2); e^-z makes the density zero
+    there unless s exceeds about 1e7."""
     s = 0.5 * (p.alpha + p.beta)
     rate = p.alpha * p.beta / p.omega
     nu = abs(p.alpha - p.beta)
-    c = 2.0 / (math.gamma(p.alpha) * math.gamma(p.beta)) * rate**s
-    return _pointwise(
-        lambda v: c * np.power(v, s - 1.0) * sp.kv(nu, 2.0 * math.sqrt(rate * v)), x)
+    log_c = (math.log(2.0) - math.lgamma(p.alpha) - math.lgamma(p.beta)
+             + s * math.log(rate))
+
+    def at(v):
+        if v == math.inf:
+            return 0.0
+        z = 2.0 * math.sqrt(rate) * math.sqrt(v)  # r x may underflow
+        k = float(sp.kve(nu, z))
+        if k < math.inf:
+            log_k = math.log(k)
+        elif k == math.inf:
+            mu = nu - round(nu)
+            k = float(sp.kve(mu, z))
+            ratio = float(sp.kve(mu + 1.0, z)) / k
+            log_k = math.log(k)
+            while mu < nu - 0.5:
+                log_k += math.log(ratio)
+                mu += 1.0
+                ratio = 1.0 / ratio + 2.0 * mu / z
+        else:
+            log_k = 0.5 * math.log(0.5 * math.pi / z)
+        log_f = log_c + (s - 1.0) * math.log(v) + log_k - z
+        return math.exp(log_f) if log_f < _LOG_MAX else math.inf
+
+    return _pointwise(at, x)
 
 
 def z2_pdf(links, x):

@@ -27,9 +27,11 @@ angle from how fast the integrand grows across the line against how fast it
 falls up it, and the sum on twice the step, taken from the same nodes,
 gives the error estimate.  The saddle search runs on Python floats, with
 the C library's lnGamma and the digamma and trigamma written here (`_psi`);
-from scipy.special the line takes only the complex lnGamma.  `_pointwise`
-checks every point of a scalar or array argument and then evaluates them
-one at a time, so the two agree bit for bit.
+from scipy.special the line takes only the complex lnGamma.  Numpy holds
+only the node arrays and their sums; the rest of a call runs on Python
+floats, where numpy's per-call cost would dominate at these sizes.
+`_pointwise` checks every point of a scalar or array argument and then
+evaluates them one at a time, so the two agree bit for bit.
 
 Slater's theorem (Gradshteyn & Ryzhik 9.303) writes the same G as a finite
 sum of pFq series weighted by gamma ratios.  `build_slater_expansion` gives
@@ -335,8 +337,9 @@ def build_slater_expansion(spec: MeijerGSpec) -> SlaterExpansion:
     return SlaterExpansion(tuple(terms), spec.argument_sign)
 
 
-def _psi(x):
-    """(digamma, trigamma) at the real float x.
+def _psi_rows(rows, c, g=0.0):
+    """(g + sum kg psi(b + sc c), sum k psi'(b + sc c)) over the rows
+    (b, sc, kg, k) of real floats: digamma and trigamma summed in one loop.
 
     Below zero by reflection (DLMF 5.5.4 and its derivative) on x less its
     nearest integer, which keeps the digits of sin(pi x).  Up to x = 10 by
@@ -345,26 +348,37 @@ def _psi(x):
     term left out is below 1e-15 of the value.  Raises ZeroDivisionError at
     the poles x = 0, -1, -2, ...
     """
-    if x < 0.0:
-        p, p1 = _psi(1.0 - x)
-        t = math.pi * (x - round(x))
-        sn = math.sin(t)
-        return p - math.pi * math.cos(t) / sn, (math.pi / sn) ** 2 - p1
-    p = p1 = 0.0
-    while x < 10.0:
-        v = 1.0 / x
-        p -= v
-        p1 += v * v
-        x += 1.0
-    v = 1.0 / x
-    z = v * v
-    p += math.log(x) - 0.5 * v - z * (
-        1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (
-            1 / 240 - z * (1 / 132 - z * (691 / 32760 - z / 12))))))
-    p1 += v + 0.5 * z + v * z * (
-        1 / 6 - z * (1 / 30 - z * (1 / 42 - z * (
-            1 / 30 - z * (5 / 66 - z * (691 / 2730 - z * 7 / 6))))))
-    return p, p1
+    g2 = 0.0
+    for b, sc, kg, k in rows:
+        x = b + sc * c
+        if x < 0.0:
+            p, p1 = _psi(1.0 - x)
+            t = math.pi * (x - round(x))
+            sn = math.sin(t)
+            p, p1 = p - math.pi * math.cos(t) / sn, (math.pi / sn) ** 2 - p1
+        else:
+            p = p1 = 0.0
+            while x < 10.0:
+                v = 1.0 / x
+                p -= v
+                p1 += v * v
+                x += 1.0
+            v = 1.0 / x
+            z = v * v
+            p += math.log(x) - 0.5 * v - z * (
+                1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (
+                    1 / 240 - z * (1 / 132 - z * (691 / 32760 - z / 12))))))
+            p1 += v + 0.5 * z + v * z * (
+                1 / 6 - z * (1 / 30 - z * (1 / 42 - z * (
+                    1 / 30 - z * (5 / 66 - z * (691 / 2730 - z * 7 / 6))))))
+        g += kg * p
+        g2 += k * p1
+    return g, g2
+
+
+def _psi(x):
+    """(digamma, trigamma) at the real float x (see _psi_rows)."""
+    return _psi_rows(((x, 1.0, 1, 1),), 0.0)
 
 
 class _GammaKernel:
@@ -375,9 +389,11 @@ class _GammaKernel:
     which identical links repeat, into `plus` (sign +1) and `minus` (sign
     -1) with their net powers.  Complex lnGamma is taken once per distinct
     pair and gathered back to every row, so the sum over rows is that over
-    all rows bit for bit; absent minus, denominator or pointing rows cost
-    nothing.  The real slices run on floats, once per pair times its net
-    power."""
+    all rows bit for bit; where every row is its own pair, as for channels
+    without identical links, there is nothing to gather, and absent minus,
+    denominator or pointing rows cost nothing.  The real slices run on
+    floats, once per pair times its net power.  Everything that does not
+    depend on s or ln x is built here, once per kernel."""
 
     def __init__(self, rows, xis=(), log_scale=0.0):
         power = {}  # net power per (base, sign)
@@ -385,31 +401,39 @@ class _GammaKernel:
             power[b, sign] = power.get((b, sign), 0) + pw
         self.plus = [(b, k) for (b, sign), k in power.items() if sign > 0]
         self.minus = [(b, k) for (b, sign), k in power.items() if sign < 0]
-        self.base = np.array([b for b, _ in self.plus])
         keys = [(b, 1) for b, _ in self.plus] + [(b, -1) for b, _ in self.minus]
-        self.up = np.array([keys.index((b, sign)) for b, sign, pw in rows if pw > 0])
+        up = [keys.index((b, sign)) for b, sign, pw in rows if pw > 0]
+        self.up = None if up == list(range(len(keys))) else up
         self.down = [keys.index((b, sign)) for b, sign, pw in rows if pw < 0]
+        # the columns that log_moment adds s to, and subtracts s from
+        self.base = np.array([[b] for b, _ in self.plus])
+        self.mirror = np.array([[b] for b, _ in self.minus]) if self.minus else None
         self.xis = np.array(xis)
+        self.xi_col = self.xis[:, None]
         self.pointing = tuple(xis)
+        # slopes' rows (b, sign of c, power on psi, power on psi')
+        self.psi_rows = ([(b, 1.0, k, k) for b, k in self.plus]
+                         + [(b, -1.0, -k, k) for b, k in self.minus])
         self.log_scale, self.log_norm = log_scale, 0.0
         # the poles next to the strip: those of the numerator's Gammas and of
         # 1 / (xi + s); |K(c + it)| falls like exp(-decay |t|), by pi / 2 per
         # net Gamma
-        self.poles = np.array([-b for b, k in self.plus if k > 0]
-                              + [b for b, k in self.minus if k > 0] + [-xi for xi in xis])
+        self.pole_list = ([-b for b, k in self.plus if k > 0]
+                          + [b for b, k in self.minus if k > 0] + [-xi for xi in xis])
+        self.poles = np.array(self.pole_list)
         self.decay = 0.5 * math.pi * sum(power.values())
 
     def log_moment(self, s):
         """log K on the complex array s."""
-        lg = sp.loggamma(self.base[:, None] + s)
+        lg = sp.loggamma(self.base + s)
         if self.minus:
-            mirror = np.subtract.outer([b for b, _ in self.minus], s)
-            lg = np.concatenate((lg, sp.loggamma(mirror)))
-        out = s * self.log_scale + self.log_norm + lg[self.up].sum(axis=0)
+            lg = np.concatenate((lg, sp.loggamma(self.mirror - s)))
+        out = s * self.log_scale + self.log_norm + np.add.reduce(
+            lg if self.up is None else lg[self.up], axis=0)
         if self.down:
-            out = out - lg[self.down].sum(axis=0)
-        if self.xis.size:
-            out = out - np.log(self.xis[:, None] + s).sum(axis=0)
+            out = out - np.add.reduce(lg[self.down], axis=0)
+        if self.pointing:
+            out = out - np.add.reduce(np.log(self.xi_col + s), axis=0)
         return out
 
     def log_size(self, c, lx, pole):
@@ -425,15 +449,7 @@ class _GammaKernel:
 
     def slopes(self, c, lx, pole):
         """First and second derivative of log_size in c."""
-        g, g2 = self.log_scale - lx, 0.0
-        for b, k in self.plus:
-            p, p1 = _psi(b + c)
-            g += k * p
-            g2 += k * p1
-        for b, k in self.minus:
-            p, p1 = _psi(b - c)
-            g -= k * p
-            g2 += k * p1
+        g, g2 = _psi_rows(self.psi_rows, c, self.log_scale - lx)
         for xi in self.pointing:
             v = 1.0 / (xi + c)
             g -= v
@@ -456,15 +472,24 @@ def _meijer_kernel(spec: MeijerGSpec):
 def _pointwise(at, x, allow_zero=False):
     """at(v) at each point v of x, all checked to be positive (or zero, when
     allowed) first: a float for a scalar x, otherwise an array of the shape
-    of x."""
+    of x.  A Python or numpy float, or an int, is one point and builds no
+    array."""
+    if isinstance(x, (float, int)):
+        v = float(x)
+        _check_point(v, allow_zero)
+        return float(at(v))
     xx = np.asarray(x, dtype=float)
     points = xx.ravel().tolist()
     for v in points:
-        if not (v >= 0.0 if allow_zero else v > 0.0):
-            raise DomainError("argument must not be NaN" if v != v
-                              else "argument must be positive")
+        _check_point(v, allow_zero)
     out = [at(v) for v in points]
     return float(out[0]) if xx.ndim == 0 else np.array(out).reshape(xx.shape)
+
+
+def _check_point(v, allow_zero):
+    if not (v >= 0.0 if allow_zero else v > 0.0):
+        raise DomainError("argument must not be NaN" if v != v
+                          else "argument must be positive")
 
 
 def _saddle(kern, lx, lo, hi, c, pole):
@@ -545,7 +570,7 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
         # Far out the saddle line has no digits left to size a step from,
         # and the value is zero anyway: signed as the integrand at the peak.
         return (math.copysign(0.0, c) if pole else 0.0), 0.0
-    near = min(abs(c - p) for p in kern.poles.tolist())
+    near = min(abs(c - p) for p in kern.pole_list)
     if pole:
         near = min(near, abs(c))
 
@@ -569,9 +594,11 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     # part of the change of its log is the growth across the line, the
     # imaginary part (Cauchy-Riemann) the fall up it over the same distance
     top = width + budget / kern.decay
-    logv = log_integrand(np.array([c - a, c + a, c - a + 1j * top, c + a + 1j * top]))
-    edge = float(logv.real[:2].max())
-    step = complex(logv[3] - logv[2])
+    v0, v1, v2, v3 = log_integrand(
+        np.array([c - a, c + a, c - a + 1j * top, c + a + 1j * top])).tolist()
+    # the larger real part, NaN if either is (as numpy's max)
+    edge = v0.real if v0.real >= v1.real or v0.real != v0.real else v1.real
+    step = v3 - v2
     rise, fall = abs(step.real), step.imag
     if not fall > 0.0:
         raise AccuracyError(
@@ -588,7 +615,7 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     # its size.  The sum stops at the first node below the floor, so the
     # chunking never changes the value.
     floor = peak + math.log(_MB_TOL)
-    at_top = 0.5 * float(logv.real[2] + logv.real[3] + math.log1p((top / w) ** 2))
+    at_top = 0.5 * (v2.real + v3.real + math.log1p((top / w) ** 2))
     reach = math.asinh(max(top + (at_top - floor) * 2.0 * a / fall, 0.0) / w)
     chunks, k0 = [], 0
     n = int(min(_MB_MAX_NODES, reach / h)) + 3
@@ -597,10 +624,12 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
         u = h * np.arange(k0, k0 + n)
         # the weight dt/du = w cosh(u), its factor w taken out into the scale
         logv = log_integrand(c + 1j * (w * np.sinh(u))) + np.log(np.cosh(u))
-        small = logv.real < floor
-        small[0] &= k0 > 0  # node 0 is the peak itself
-        if small.any():
-            chunks.append(logv[:int(np.argmax(small))])
+        below = logv.real < floor
+        if not k0:
+            below[0] = False  # node 0 is the peak itself
+        cut = below.argmax()  # the first node below the floor, or 0 for none
+        if cut or below[0]:
+            chunks.append(logv[:cut])
             break
         chunks.append(logv)
         k0 += n
@@ -609,9 +638,11 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
                 f"Mellin-Barnes integral needs more than {_MB_MAX_NODES} nodes "
                 f"(ln x = {lx:.6g})")
         n *= 2
-    re = np.exp(np.concatenate(chunks) - peak).real
-    fine = 0.5 * re[0] + re[1:].sum()
-    coarse = 2.0 * (0.5 * re[0] + re[2::2].sum())
+    logv = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    re = np.exp(logv - peak).real
+    head = 0.5 * re.item(0)
+    fine = head + float(np.add.reduce(re[1:]))
+    coarse = 2.0 * (head + float(np.add.reduce(re[2::2])))
     scale = h * w / math.pi * math.exp(peak + lead)
     return scale * fine, scale * abs(fine - coarse)
 
@@ -636,9 +667,7 @@ def meijer_g(spec: MeijerGSpec, x):
     (a_1 - 1 >= min(b_1..b_m)), and AccuracyError when an error estimate
     exceeds 3e-4 of |G|, or is 0 for a nonzero G (it has underflowed).
     """
-    x = _pointwise(float, x)  # every point is checked before any is evaluated
-    if not np.isfinite(x).all():
-        raise DomainError("meijer_g requires finite x")
+    x = _pointwise(_finite, x)  # every point is checked before any is evaluated
     lo = -min(spec.b[:spec.m])
     hi = 1.0 - spec.a[0] if spec.n else math.inf
     if not lo < hi:
@@ -661,4 +690,10 @@ def meijer_g(spec: MeijerGSpec, x):
 
     value = _pointwise(at, x)
     accuracy = "perturbed" if _degenerate_pairs(spec.b[:spec.m]) else "clean"
-    return MeijerGValue(value, accuracy, float(max(errs)))
+    return MeijerGValue(value, accuracy, max(errs))
+
+
+def _finite(v):
+    if v == math.inf:
+        raise DomainError("meijer_g requires finite x")
+    return v

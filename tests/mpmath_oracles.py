@@ -1,7 +1,9 @@
 """Independent references for the Meijer G closed forms, shared by the test
 modules: mpmath.meijerg sums the hypergeometric series at raised precision
 (integer-separated parameters perturbed), a route independent of the line
-integral.  Constants and arguments are taken at the same precision."""
+integral.  Constants, the pointing factors' upper parameters and arguments
+are taken at the working precision.  mpmath_gg_pdf is the single link's
+Bessel-K closed form."""
 
 import mpmath
 
@@ -31,9 +33,17 @@ def cdf_meijer_form(ch):
     return c, rate, spec
 
 
+def _upper(ch):
+    """The upper parameters xi + 1 of the pointing factors at the working
+    precision.  MeijerGSpec keeps them as doubles, whose rounding (up to
+    1e-15) leaves Gamma(xi + s) / Gamma(xi + 1 + s) a little off 1 / (xi + s):
+    that moved 1 - F by up to 5e-15, 4e-4 relative at 1 - F = 1e-11."""
+    return [mpmath.mpf(p.xi) + 1 for p in ch.pe_links]
+
+
 def _cdf(ch, x):
     c, rate, spec = cdf_meijer_form(ch)
-    return c * mpmath.meijerg([spec.a[:1], spec.a[1:]], [spec.b[:-1], spec.b[-1:]], x * rate)
+    return c * mpmath.meijerg([[1], _upper(ch)], [spec.b[:-1], spec.b[-1:]], x * rate)
 
 
 def mpmath_cdf(ch, x):
@@ -54,4 +64,16 @@ def mpmath_pdf(ch, x, dps=30):
     with mpmath.workdps(dps):
         c, rate, _ = cdf_meijer_form(ch)
         return float(c / mpmath.mpf(x) * mpmath.meijerg(
-            [[], [p.xi + 1.0 for p in ch.pe_links]], [list(ch.b_tuple), []], x * rate))
+            [[], _upper(ch)], [list(ch.b_tuple), []], x * rate))
+
+
+def mpmath_gg_pdf(p, x):
+    """The Gamma-Gamma density 2 r^s / (Gamma(alpha) Gamma(beta))
+    x^(s - 1) K_(alpha - beta)(2 sqrt(r x)), r = alpha beta / Omega and
+    s = (alpha + beta) / 2, by mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        a, b, x = mpmath.mpf(p.alpha), mpmath.mpf(p.beta), mpmath.mpf(x)
+        r = a * b / p.omega
+        s = (a + b) / 2
+        return float(2 * r**s / (mpmath.gamma(a) * mpmath.gamma(b)) * x ** (s - 1)
+                     * mpmath.besselk(a - b, 2 * mpmath.sqrt(r * x)))

@@ -245,6 +245,24 @@ class TestRun:
         assert [r.split(",")[1] for r in text.strip().split("\n")[1:]] == expected
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("name", ["fig3_weak_weak", "fig7_weak", "fig13_worst"])
+    def test_degeneracy_scanned_once_per_channel(self, name, monkeypatch):
+        # every point's accuracy flag asks the channel whether its exponent
+        # tuple has an integer-separated pair; the channel scans once
+        scans = []
+        inner = distributions._degenerate_pairs
+
+        def pairs(values):
+            scans.append(values)
+            return inner(values)
+
+        monkeypatch.setattr(distributions, "_degenerate_pairs", pairs)
+        text, flagged = run(parse_config(recipe_path(name)))
+        assert not flagged
+        assert len(scans) == 1
+        assert {r.split(",")[5] for r in text.strip().split("\n")[1:]} == {
+            "perturbed" if inner(scans[0]) else "clean"}
+
     def test_changing_channel_tallied_per_point(self, monkeypatch):
         cfg = _fig_recipes()["fig5"]
         r = 10.0 ** (cfg.transceiver.snr_ratio_db / 10.0)
@@ -282,6 +300,27 @@ class TestRun:
             sim = mc_op_parallel(branch, 2, 10.0 ** (float(row[0]) / 10.0),
                                  10**5, seed)
             assert bound > sim.value + 5 * sim.std_error
+
+
+RECIPE_CSVS = os.path.join(os.path.dirname(__file__), "data", "recipes")
+
+
+class TestRecipeCsvs:
+    """Every shipped recipe's CSV, analytic and `--mode both --samples 20000
+    --seed 1`, byte for byte against the copies in tests/data/recipes: a
+    change that moves any printed digit of any recipe fails here."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    def test_byte_identical(self, mode):
+        names = sorted(f[:-4] for f in os.listdir(os.path.dirname(recipe_path("fig9"))))
+        assert len(names) == 23
+        for name in names:
+            with open(os.path.join(RECIPE_CSVS, mode, f"{name}.csv"), "rb") as fh:
+                expected = fh.read()
+            text, flagged = run(parse_config(recipe_path(name)), mode=mode, seed=1,
+                                samples=20000)
+            assert not flagged, name
+            assert text.encode("ascii") == expected, name
 
 
 class TestEval:

@@ -4,6 +4,7 @@ numerical method in the test itself."""
 
 import gc
 import math
+import warnings
 import weakref
 
 import mpmath
@@ -35,7 +36,7 @@ from cascade_fading.specfun import (
     bessel_k,
     build_slater_expansion,
 )
-from mpmath_oracles import cdf_meijer_form, mpmath_cdf, mpmath_pdf, mpmath_sf
+from mpmath_oracles import cdf_meijer_form, mpmath_cdf, mpmath_gg_pdf, mpmath_pdf, mpmath_sf
 
 WEAK = GammaGammaParams(10.02, 2.98)
 STRONG = GammaGammaParams(4.942, 1.231)
@@ -67,6 +68,15 @@ class TestGammaGammaPdf:
     def test_domain(self):
         with pytest.raises(DomainError):
             gg_pdf(WEAK, 0.0)
+
+    @pytest.mark.parametrize("x", [1e-100, 1e-60, 1e300])
+    def test_far_from_the_bulk(self, x):
+        # x^(s - 1) and K_nu(z) overflow and underflow against each other
+        # here; the densities are 2.59e-197, 4.10e-118 and 0 in double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = gg_pdf(WEAK, x)
+        assert value == pytest.approx(mpmath_gg_pdf(WEAK, x), rel=1e-12, abs=0.0)
 
 
 class TestZ1:
@@ -301,6 +311,39 @@ class TestCompositeCdfPdf:
             assert z_cdf(ch, float(x)) == cdf[i]
             assert z_pdf(ch, float(x)) == pdf[i]
 
+    @pytest.mark.parametrize("ch", [MIXED_22, CompositeProduct((WEAK, WEAK))])
+    def test_scalar_kinds_match_bitwise(self, ch):
+        # a Python float, a numpy float and an int are one point each and
+        # build no array; a 0-d array and a 1-element array go through the
+        # array path: all give the same bits, and every scalar kind a float
+        for fn in (z_cdf, z_pdf):
+            for x in (0.37, 2.0):
+                want = repr(fn(ch, np.array([x]))[0].item())
+                kinds = [x, np.float64(x), np.array(x)] + ([int(x)] if x == int(x) else [])
+                for arg in kinds:
+                    got = fn(ch, arg)
+                    assert type(got) is float and repr(got) == want, (fn, arg)
+
+    @pytest.mark.parametrize("fn,x,error,message", [
+        (z_cdf, math.nan, DomainError, "argument must not be NaN"),
+        (z_pdf, math.nan, DomainError, "argument must not be NaN"),
+        (z_cdf, -1.0, DomainError, "argument must be positive"),
+        (z_pdf, -1.0, DomainError, "argument must be positive"),
+        (z_pdf, 0.0, DomainError, "argument must be positive"),
+        (z_cdf_asymptotic, -1.0, DomainError, "argument must be positive"),
+        (z_pdf, 1e-160, AccuracyError, "PDF evaluation lost too much precision "
+                                       "(value ~ 4.104779e-316, error estimate 0.0e+00)"),
+    ])
+    def test_scalar_kinds_refuse_alike(self, fn, x, error, message):
+        ch = CompositeProduct((WEAK,))
+        kinds = [x, np.float64(x), np.array(x), np.array([x])]
+        if math.isfinite(x) and x == int(x):
+            kinds.append(int(x))
+        for arg in kinds:
+            with pytest.raises(error) as info:
+                fn(ch, arg)
+            assert str(info.value) == message, arg
+
 
 class TestAgainstLargeMonteCarlo:
     """Channels where the CDF was once silently wrong, raised a bare
@@ -348,6 +391,67 @@ class TestCdfProperties:
         for k, (x, v) in enumerate(zip(xs, vals)):
             est = mc_cdf(ch, float(x), 200_000, 700 + k)
             assert abs(v - est.value) <= 5 * est.std_error, (x, v, est)
+
+
+@st.composite
+def _small_products(draw):
+    """Channels as _products draws them, every exponent (alpha, beta, xi)
+    at most 20, which keeps mpmath.meijerg fast."""
+    shape = st.floats(0.5, 20.0)
+    n = draw(st.integers(1, 4))
+    l = draw(st.integers(0, n))
+    gg = tuple(GammaGammaParams(draw(shape), draw(shape)) for _ in range(n))
+    pe = tuple(PointingErrorParams(draw(st.floats(1.0, 20.0)), draw(st.floats(0.05, 1.0)))
+               for _ in range(l))
+    return CompositeProduct(gg, pe)
+
+
+def _at_tail_probability(ch, p, upper):
+    """x where F(x) (1 - F(x) when upper) lies within a factor 2 of p, by
+    bisection in ln x on z_cdf: the placement only has to land in the
+    range the check covers, not be exact (1 - z_cdf is only good to about
+    1e-16 absolute, which the margin of p above 1e-12 / 2 covers)."""
+    def tail(lx):
+        f = z_cdf(ch, math.exp(lx))
+        return 1.0 - f if upper else f
+
+    step = 1.0 if upper else -1.0
+    near = ch._law.mean_log
+    while not tail(near) > p:
+        near -= step
+    far = near + step
+    while tail(far) > p:
+        near, far = far, far + 2.0 * (far - near)
+    while True:
+        mid = 0.5 * (near + far)
+        t = tail(mid)
+        if 0.5 * p < t < 2.0 * p:
+            return math.exp(mid)
+        near, far = (mid, far) if t > p else (near, mid)
+
+
+class TestMpmathProperties:
+    """Random channels against mpmath.meijerg on the small side of the
+    distribution: F where F <= 0.5, 1 - F where 1 - F <= 0.5, both down to
+    1e-12, and the density there."""
+
+    @given(_small_products(), st.floats(math.log(2.5e-12), math.log(0.25)), st.booleans())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_mpmath(self, ch, log_p, upper):
+        x = _at_tail_probability(ch, math.exp(log_p), upper)
+        if upper:
+            # Q = 1 - F to 1e-12 of itself; the CDF 1 - Q to that plus its
+            # rounding
+            sf = mpmath_sf(ch, x)
+            assert 1e-12 <= sf <= 0.5
+            q = distributions._line_integral(ch._law, math.log(x), "Q")[0]
+            assert q == pytest.approx(sf, rel=1e-12, abs=0.0)
+            assert z_cdf(ch, x) == pytest.approx(1.0 - sf, rel=0.0, abs=1e-12 * sf + 2.0**-53)
+        else:
+            cdf = mpmath_cdf(ch, x)
+            assert 1e-12 <= cdf <= 0.5
+            assert z_cdf(ch, x) == pytest.approx(cdf, rel=1e-12, abs=0.0)
+        assert z_pdf(ch, x) == pytest.approx(mpmath_pdf(ch, x), rel=1e-10, abs=0.0)
 
 
 class TestAsymptote:

@@ -283,6 +283,43 @@ class TestMeijerGOracle:
             assert v == pytest.approx(mpmath_meijer_g(spec, x), rel=1e-13), x
             assert meijer_g(spec, x).value == v
 
+    @pytest.mark.parametrize("case", ["bessel", "cdf2113", "cdf3124"])
+    def test_array_matches_scalar_bitwise(self, case):
+        # a Python float, a numpy float and an int are one point each and
+        # build no array; a 0-d array and a 1-element array go through the
+        # array path: all give the same bits and the same error estimate,
+        # and every scalar kind a float
+        spec, _ = ORACLE_CASES[case]
+        grid = np.exp(np.linspace(math.log(1e-6), math.log(1e3), 19))
+        vec = meijer_g(spec, grid).value
+        for x, v in zip(grid.tolist() + [2.0], vec.tolist() + [None]):
+            one = meijer_g(spec, np.array([x]))
+            assert v is None or repr(one.value[0].item()) == repr(v)
+            kinds = [x, np.float64(x), np.array(x)] + ([int(x)] if x == int(x) else [])
+            for arg in kinds:
+                res = meijer_g(spec, arg)
+                assert type(res.value) is float, arg
+                assert repr(res.value) == repr(one.value[0].item()), arg
+                assert repr(res.est_abs_err) == repr(one.est_abs_err), arg
+
+    @pytest.mark.parametrize("spec,x,error,message", [
+        (ORACLE_CASES["bessel"][0], math.nan, DomainError, "argument must not be NaN"),
+        (ORACLE_CASES["bessel"][0], 0.0, DomainError, "argument must be positive"),
+        (ORACLE_CASES["bessel"][0], -1.0, DomainError, "argument must be positive"),
+        (ORACLE_CASES["bessel"][0], math.inf, DomainError, "meijer_g requires finite x"),
+        (ORACLE_CASES["cdf2113"][0], 1e-260, AccuracyError,
+         "Meijer G evaluation lost too much precision at x=1e-260 "
+         "(value ~ 5.437192e-320, error estimate 0.0e+00)"),
+    ])
+    def test_scalar_kinds_refuse_alike(self, spec, x, error, message):
+        kinds = [x, np.float64(x), np.array(x), np.array([x])]
+        if math.isfinite(x) and x == int(x):
+            kinds.append(int(x))
+        for arg in kinds:
+            with pytest.raises(error) as info:
+                meijer_g(spec, arg)
+            assert str(info.value) == message, arg
+
     def test_non_finite_argument_rejected(self):
         spec = MeijerGSpec(2, 0, 0, 2, (), (10.02, 2.98))
         for x in (math.nan, math.inf, -math.inf, [0.5, math.nan]):
