@@ -19,11 +19,11 @@ E[Z^s] is specfun's gamma-product kernel, the one meijer_g integrates too:
 a row Gamma(shape + s) per shape, a row 1 / (xi + s) per pointing factor,
 and the scale and the normalisation as its linear and constant terms.
 _MellinLaw only builds those rows, once per channel, and adds the strip's
-edge b_min and E[ln Z].  The integrand decays like exp(-N pi |t|), and
-specfun's Mellin-Barnes engine sums it: the line sits at the saddle of the
-real integrand, and the nodes t = w sinh(u) lie evenly in u, fine across
-the peak and sparse along the 1/t shoulder that a nearby pole gives the
-deep outage tail.  Coincident parameters only merge poles off the line, so
+edge b_min, E[ln Z] and the start of the saddle search.  The integrand
+decays like exp(-N pi |t|), and specfun's Mellin-Barnes engine sums it: the
+line sits at the saddle of the real integrand, and the nodes t = w sinh(u)
+lie evenly in u, fine across the peak and sparse along the 1/t shoulder
+that a nearby pole gives the deep outage tail.  Coincident parameters only merge poles off the line, so
 they need no special treatment.  Scalar and array arguments go through
 specfun's one pointwise front, as gg_pdf and z2_pdf do.
 
@@ -190,7 +190,11 @@ class CompositeProduct:
 class _MellinLaw(_GammaKernel):
     """log E[Z^s] = s log_scale + log_norm + sum lnGamma(shape + s)
     - sum ln(xi + s): the kernel that specfun._mb_integral integrates for
-    z_cdf and z_pdf, with the bounds of its strip (b_min) and E[ln Z]."""
+    z_cdf and z_pdf, with the bounds of its strip (b_min), E[ln Z] and
+    Var[ln Z].  log E[Z^s] is the cumulant generating function of ln Z, so
+    the saddle of the integrand is a saddlepoint (Daniels, Ann. Math.
+    Statist. 25, 1954), and the saddle search starts from that of its
+    two-cumulant (lognormal) model."""
 
     def __init__(self, ch: CompositeProduct):
         shapes = [g.alpha for g in ch.gg_links] + [g.beta for g in ch.gg_links]
@@ -203,8 +207,26 @@ class _MellinLaw(_GammaKernel):
                          - sum(k * math.lgamma(b) for b, k in self.plus))
         self.shapes = np.array(shapes)
         self.b_min = min(shapes + xis)
-        # E[ln Z], the slope of log E[Z^s] at s = 0
-        self.mean_log = self.slopes(0.0, 0.0, False)[0]
+        # E[ln Z] and Var[ln Z], the slope and curvature of log E[Z^s] at 0
+        self.mean_log, self.var_log = self.slopes(0.0, 0.0, False)
+
+    def start(self, lx, lo, hi, c, pole):
+        """The saddle of the lognormal model of the integrand, log E[Z^s] ~
+        s E[ln Z] + s^2 Var[ln Z] / 2, with d = ln x - E[ln Z]: d / Var, or
+        with the pole at 0 the root of Var s^2 - d s - 1 on the strip's side
+        of it.  It is kept to the inner half between each finite edge and
+        the caller's c."""
+        d, v = lx - self.mean_log, self.var_log
+        if pole:
+            r = math.sqrt(d * d + 4.0 * v)
+            # each root in the form without cancellation
+            if hi <= 0.0:
+                s = -2.0 / (r + d) if d >= 0.0 else 0.5 * (d - r) / v
+            else:
+                s = 0.5 * (d + r) / v if d >= 0.0 else 2.0 / (r - d)
+        else:
+            s = d / v
+        return min(max(s, 0.5 * (lo + c)), 0.5 * (c + hi))
 
 
 def _line_integral(law: _MellinLaw, lx, kind, lead=0.0):

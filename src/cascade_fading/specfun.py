@@ -26,10 +26,12 @@ integrand, the step follows from the pole-free strip around it, the map's
 angle from how fast the integrand grows across the line against how fast it
 falls up it, and the sum on twice the step, taken from the same nodes,
 gives the error estimate.  The saddle search runs on Python floats, with
-the C library's lnGamma and the digamma and trigamma written here (`_psi`);
-from scipy.special the line takes only the complex lnGamma.  Numpy holds
-only the node arrays and their sums; the rest of a call runs on Python
-floats, where numpy's per-call cost would dominate at these sizes.
+the C library's lnGamma and the digamma and trigamma written here (`_psi`),
+from a start the kernel gives (for Z the saddle of its lognormal model) to
+its first Newton step below 1e-3; from scipy.special the line takes only
+the complex lnGamma.  Numpy holds only the node arrays and their sums; the
+rest of a call runs on Python floats, where numpy's per-call cost would
+dominate at these sizes.
 `_pointwise` checks every point of a scalar or array argument and then
 evaluates them one at a time, so the two agree bit for bit.
 
@@ -91,12 +93,14 @@ _GUARD_REL = 3e-4
 # to the nearest pole; the share of the integrand's fall up the line that
 # its growth across the line may take along the edge of the sinh-mapped
 # strip (tan eta = _MB_ANGLE * fall / rise); the node count beyond which an
-# evaluation refuses; the iteration cap of the saddle search.
+# evaluation refuses; the iteration cap of the saddle search, and the Newton
+# step, relative to 1 + |c|, that it takes as its last.
 _MB_TOL = 1e-17
 _MB_STRIP = 0.9
 _MB_ANGLE = 0.5
 _MB_MAX_NODES = 1 << 17
 _SADDLE_ITERS = 100
+_SADDLE_STEP = 1e-3
 
 # Log of the integrand's peak on the line below which a line integral is
 # zero in double precision.  The integrand is largest on the real axis (the
@@ -436,6 +440,11 @@ class _GammaKernel:
             out = out - np.add.reduce(np.log(self.xi_col + s), axis=0)
         return out
 
+    def start(self, lx, lo, hi, c, pole):
+        """Where the saddle search on (lo, hi) starts: at c, the start its
+        caller gives."""
+        return c
+
     def log_size(self, c, lx, pole):
         """log of the real integrand x^-c K(c) (over |c| when pole)."""
         v = c * (self.log_scale - lx) + self.log_norm
@@ -496,15 +505,21 @@ def _saddle(kern, lx, lo, hi, c, pole):
     """Minimum of the convex log_size on (lo, hi) by safeguarded Newton,
     with the curvature there.
 
-    The edges are poles, where the slope g runs off like -k / (c - lo) and
-    k / (hi - c).  Each step is Newton's on g times the distance to the edge
-    beyond the minimum, a product that pole leaves near linear; near the
-    minimum g vanishes and the step is plain Newton's.  Where hi is infinite
-    the slope is concave, so steps from the left of the minimum stay left of
-    it.  Any step leaving the bracket is replaced by bisection.  A slope or
+    The search starts where the kernel puts it (`start`, from the caller's
+    c).  The edges are poles, where the slope g runs off like -k / (c - lo)
+    and k / (hi - c).  Each step is Newton's on g times the distance to the
+    edge beyond the minimum, a product that pole leaves near linear; near
+    the minimum g vanishes and the step is plain Newton's.  Where hi is
+    infinite the slope is concave, so steps from the left of the minimum
+    stay left of it.  Any step leaving the bracket is replaced by
+    bisection.  A step below _SADDLE_STEP (1 + |c|) is the last: it is
+    taken if it stays in the bracket, unchecked, with the curvature of the
+    point it starts from (the line only has to sit near the saddle, and
+    Newton's error after it is of the order of its square).  A slope or
     curvature that is not finite raises AccuracyError.
     """
     left, right = lo, hi
+    c = kern.start(lx, lo, hi, c, pole)
     for _ in range(_SADDLE_ITERS):
         g, g2 = kern.slopes(c, lx, pole)
         if not (math.isfinite(g) and math.isfinite(g2)):
@@ -516,9 +531,10 @@ def _saddle(kern, lx, lo, hi, c, pole):
             hi = c
         # Newton on (c - left) g where g > 0, on (right - c) g where g < 0
         nxt = c - g / (g2 + max(g / (c - left), -g / (right - c)))
-        if abs(nxt - c) <= 1e-10 * (1.0 + abs(c)):
-            break
-        c = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        inside = lo < nxt < hi
+        if abs(nxt - c) <= _SADDLE_STEP * (1.0 + abs(c)):
+            return (nxt if inside else c), g2
+        c = nxt if inside else 0.5 * (lo + hi)
     return c, g2
 
 
@@ -531,11 +547,12 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
 
     The _GammaKernel gives log M on complex arrays (`log_moment`), the real
     slice log(x^-c M(c) / |c|^pole) and its first two derivatives in c on
-    floats (`log_size`, `slopes`), the poles next to the strip (`poles`), and
-    the rate at which |M(c + it)| falls in |t| far up the line (`decay`).  The
-    Newton search starts from c; where it meets a pole of the real slice,
-    or no minimum, the call refuses.  Every quantity depends on (kernel, lx)
-    alone, so scalar and array callers agree bit for bit.  Where the peak on
+    floats (`log_size`, `slopes`), the poles next to the strip (`poles`), the
+    rate at which |M(c + it)| falls in |t| far up the line (`decay`), and
+    where in the strip the saddle search starts (`start`, from c).  Where
+    the search meets a pole of the real slice, or no minimum, the call
+    refuses.  Every quantity depends on (kernel, lx) alone, so scalar and
+    array callers agree bit for bit.  Where the peak on
     the line proves the value zero in double precision (_MB_LOG_ZERO), it is
     returned without nodes.
 

@@ -125,6 +125,7 @@ KS_FIXTURES = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_3_oracle_equivalence_ks():
     start = time.perf_counter()
     n = 10**6
@@ -190,6 +191,7 @@ def test_criterion_5_diversity_order_slope():
     _report("5", ok and elapsed < 10.0, "; ".join(details) + f"; {elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_6_parallel_bound_and_trends():
     start = time.perf_counter()
     n = 10**7

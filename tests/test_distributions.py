@@ -345,6 +345,7 @@ class TestCompositeCdfPdf:
             assert str(info.value) == message, arg
 
 
+@pytest.mark.slow
 class TestAgainstLargeMonteCarlo:
     """Channels where the CDF was once silently wrong, raised a bare
     ValueError, or refused.  The reference is mc_cdf at 1.6e7 samples (one
@@ -375,6 +376,7 @@ def _products(draw):
     return CompositeProduct(gg, pe)
 
 
+@pytest.mark.slow
 class TestCdfProperties:
     @given(_products())
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -901,7 +903,9 @@ class TestUpperTailOracle:
     Q itself is pinned relative to 1 - F; the CDF, which cannot hold that
     in double precision, to the rounding of 1 - Q on top."""
 
-    @pytest.mark.parametrize("label", UPPER_TAIL)
+    @pytest.mark.parametrize("label", [
+        pytest.param(label, marks=pytest.mark.slow) if label == "g60_40_cubed" else label
+        for label in UPPER_TAIL])
     def test_complement(self, label):
         ch = UPPER_TAIL_CHANNELS[label]
         law = ch._law
@@ -911,6 +915,123 @@ class TestUpperTailOracle:
             q = distributions._line_integral(law, math.log(x), "Q")[0]
             assert q == pytest.approx(sf, rel=1e-12, abs=0.0), x
             assert z_cdf(ch, x) == pytest.approx(1.0 - sf, rel=0.0, abs=1e-12 * sf + 2.0**-53), x
+
+
+class _SaddleLog:
+    """Counts _GammaKernel.slopes calls, and records each _saddle call as
+    (kernel, lx, lo, hi, pole, c returned), while installed."""
+
+    def __init__(self, monkeypatch):
+        self.slopes, self.lines = 0, []
+        slopes, saddle = specfun._GammaKernel.slopes, specfun._saddle
+
+        def count(kern, *args):
+            self.slopes += 1
+            return slopes(kern, *args)
+
+        def record(kern, lx, lo, hi, c, pole):
+            out = saddle(kern, lx, lo, hi, c, pole)
+            self.lines.append((kern, lx, lo, hi, pole, out[0]))
+            return out
+
+        monkeypatch.setattr(specfun._GammaKernel, "slopes", count)
+        monkeypatch.setattr(specfun, "_saddle", record)
+
+
+def _slope_root(kern, lx, lo, hi, pole):
+    """The root of log_size's slope on (lo, hi), by bisection down to
+    adjacent floats (an infinite hi is first replaced by doubling)."""
+    if hi == math.inf:
+        hi = max(lo, 0.0) + 1.0
+        while kern.slopes(hi, lx, pole)[0] < 0.0:
+            lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if kern.slopes(mid, lx, pole)[0] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# channels whose strip edges the start must keep clear of: (60, 40)^3 has
+# a narrow ln Z, and weak.pe(0.7, 0.8) has its pointing pole as the edge
+STRIP_CHANNELS = {
+    "weak": CompositeProduct((WEAK,)),
+    "g60_40_cubed": UPPER_TAIL_CHANNELS["g60_40_cubed"],
+    "weak_pe": CompositeProduct((WEAK,), (PointingErrorParams(0.7, 0.8),)),
+    "coincident_pair": SCALAR_CHANNELS["coincident_pair"],
+}
+# the line integrals there that return exactly zero, by ln x (none at
+# E[ln Z] -+ 1e-9), as before the search started from the lognormal saddle;
+# all others return a nonzero value, and none refuses
+STRIP_ZEROS = {
+    "weak": {-700.0: "Ff", 50.0: "Qf", 700.0: "Qf"},
+    "g60_40_cubed": {-700.0: "Ff", -50.0: "Ff", 50.0: "Qf", 700.0: "Qf"},
+    "weak_pe": {50.0: "Qf", 700.0: "Qf"},
+    "coincident_pair": {-700.0: "Ff", 50.0: "Qf", 700.0: "Qf"},
+}
+
+
+class TestSaddleSearch:
+    """The saddle search starts from the saddle of the lognormal model of
+    ln Z and stops on its first Newton step below 1e-3 (1 + |c|).  Both
+    pins are counts and positions, not timings."""
+
+    GRID = np.exp(np.linspace(math.log(1e-7), math.log(50.0), 40))
+
+    def test_few_slope_evaluations(self, monkeypatch):
+        # a fixed start (-b_min / 2, 1 or 0) and a stop that confirms a step
+        # below 1e-10 took 5.37 per line here (5.32 on the benchmark's pool)
+        for ch in SCALAR_CHANNELS.values():
+            ch._law  # E[ln Z] and Var[ln Z] cost one evaluation per law
+        log = _SaddleLog(monkeypatch)
+        for ch in SCALAR_CHANNELS.values():
+            for x in self.GRID:
+                z_cdf(ch, x)
+                z_pdf(ch, x)
+        assert len(log.lines) == 2 * len(SCALAR_CHANNELS) * self.GRID.size
+        assert log.slopes <= 3.2 * len(log.lines)
+
+    def test_line_sits_at_the_saddle(self, monkeypatch):
+        log = _SaddleLog(monkeypatch)
+        for ch in SCALAR_CHANNELS.values():
+            for x in self.GRID:
+                z_cdf(ch, x)
+                z_pdf(ch, x)
+        for ch in STRIP_CHANNELS.values():
+            for lx in self._log_points(ch._law):
+                for kind in "FQf":
+                    distributions._line_integral(ch._law, lx, kind)
+        assert len(log.lines) == 6 * self.GRID.size + 4 * 6 * 3
+        for kern, lx, lo, hi, pole, c in log.lines:
+            root = _slope_root(kern, lx, lo, hi, pole)
+            assert abs(c - root) <= 1e-5 * (1.0 + abs(root)), (lx, lo, hi, pole)
+
+    @staticmethod
+    def _log_points(law):
+        return (-700.0, -50.0, law.mean_log - 1e-9, law.mean_log + 1e-9, 50.0, 700.0)
+
+    @pytest.mark.parametrize("label", STRIP_CHANNELS)
+    def test_start_inside_the_strip(self, label, monkeypatch):
+        law = STRIP_CHANNELS[label]._law
+        starts = []
+        start = distributions._MellinLaw.start
+
+        def record(kern, lx, lo, hi, c, pole):
+            out = start(kern, lx, lo, hi, c, pole)
+            starts.append((lo, out, hi))
+            return out
+
+        monkeypatch.setattr(distributions._MellinLaw, "start", record)
+        for lx in self._log_points(law):
+            zeros = STRIP_ZEROS[label].get(lx, "")
+            for kind in "FQf":
+                del starts[:]
+                val, err = distributions._line_integral(law, lx, kind)
+                [(lo, c, hi)] = starts
+                assert lo < c < hi, (lx, kind)
+                assert math.isfinite(val) and (val == 0.0) == (kind in zeros), (lx, kind)
 
 
 class TestSubnormalScale:
