@@ -23,9 +23,10 @@ edge b_min, E[ln Z] and the start of the saddle search.  The integrand
 decays like exp(-N pi |t|), and specfun's Mellin-Barnes engine sums it: the
 line sits at the saddle of the real integrand, and the nodes t = w sinh(u)
 lie evenly in u, fine across the peak and sparse along the 1/t shoulder
-that a nearby pole gives the deep outage tail.  Coincident parameters only merge poles off the line, so
-they need no special treatment.  Scalar and array arguments go through
-specfun's one pointwise front, as gg_pdf and z2_pdf do.
+that a nearby pole gives the deep outage tail.  Coincident parameters only
+merge poles off the line, so they need no special treatment.  Scalar and
+array arguments go through specfun's one pointwise front, as gg_pdf and
+z2_pdf do.
 
 Closing the line of F to the left picks up the residues of -x^-s E[Z^s] / s;
 z_cdf_asymptotic sums those nearest the origin, each by the trapezoidal rule

@@ -986,19 +986,19 @@ class TestSaddleSearch:
         for ch in SCALAR_CHANNELS.values():
             ch._law  # E[ln Z] and Var[ln Z] cost one evaluation per law
         log = _SaddleLog(monkeypatch)
-        for ch in SCALAR_CHANNELS.values():
-            for x in self.GRID:
-                z_cdf(ch, x)
-                z_pdf(ch, x)
+        self._run_grid()
         assert len(log.lines) == 2 * len(SCALAR_CHANNELS) * self.GRID.size
         assert log.slopes <= 3.2 * len(log.lines)
 
-    def test_line_sits_at_the_saddle(self, monkeypatch):
-        log = _SaddleLog(monkeypatch)
+    def _run_grid(self):
         for ch in SCALAR_CHANNELS.values():
             for x in self.GRID:
                 z_cdf(ch, x)
                 z_pdf(ch, x)
+
+    def test_line_sits_at_the_saddle(self, monkeypatch):
+        log = _SaddleLog(monkeypatch)
+        self._run_grid()
         for ch in STRIP_CHANNELS.values():
             for lx in self._log_points(ch._law):
                 for kind in "FQf":
