@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy import special as sp
 
 from .specfun import (
     AccuracyError,
@@ -208,6 +207,7 @@ class _MellinLaw(_GammaKernel):
                          - sum(k * math.lgamma(b) for b, k in self.plus))
         self.shapes = np.array(shapes)
         self.b_min = min(shapes + xis)
+        self.mean_shape = sum(shapes) / len(shapes)
         # E[ln Z] and Var[ln Z], the slope and curvature of log E[Z^s] at 0
         self.mean_log, self.var_log = self.slopes(0.0, 0.0, False)
 
@@ -215,8 +215,18 @@ class _MellinLaw(_GammaKernel):
         """The saddle of the lognormal model of the integrand, log E[Z^s] ~
         s E[ln Z] + s^2 Var[ln Z] / 2, with d = ln x - E[ln Z]: d / Var, or
         with the pole at 0 the root of Var s^2 - d s - 1 on the strip's side
-        of it.  It is kept to the inner half between each finite edge and
-        the caller's c."""
+        of it.
+
+        Far right of the bulk log E[Z^s] grows like s ln s, not s^2, and
+        the lognormal saddle falls far short of the true one, which Newton
+        then approaches only by factors.  Where the strip has no right edge,
+        the start moves up to where the slope's asymptote, ln x - log_scale
+        = sum ln(shape + s) <= n ln(mean shape + s) over the n shapes (by
+        concavity), holds with equality.  That point lies left of the root
+        of sum ln(shape + s), and so of the saddle, since digamma falls
+        short of ln and the pointing rows and the pole only lower the slope
+        there.  The start is kept to the inner half between each finite edge
+        and the caller's c."""
         d, v = lx - self.mean_log, self.var_log
         if pole:
             r = math.sqrt(d * d + 4.0 * v)
@@ -227,6 +237,9 @@ class _MellinLaw(_GammaKernel):
                 s = 0.5 * (d + r) / v if d >= 0.0 else 2.0 / (r - d)
         else:
             s = d / v
+        if hi == math.inf:
+            n = self.shapes.size
+            s = max(s, math.exp(min((lx - self.log_scale) / n, 700.0)) - self.mean_shape)
         return min(max(s, 0.5 * (lo + c)), 0.5 * (c + hi))
 
 
@@ -328,7 +341,8 @@ def _cluster_residue(law: _MellinLaw, lx, cluster, rho):
     for n in _RESIDUE_NODES:
         k = np.arange(n) if logv is None else np.arange(1, n, 2)
         z = r * np.exp(2j * math.pi / n * k)
-        new = law.log_moment(mid + z) - (mid + z) * lx - np.log(-mid - z) + np.log(z)
+        s = mid + z
+        new = law.log_fused(s, lx, z / -s, mid - r, mid + r)
         logv = new if logv is None else np.column_stack((logv, new)).ravel()
         top = float(logv.real.max())
         v = np.exp(logv - top)
@@ -396,6 +410,10 @@ def gg_pdf(p: GammaGammaParams, x):
     Past z ~ 1e9, where scipy gives NaN, K_nu(z) e^z is sqrt(pi / 2z) to
     within (4 nu^2 - 1) / 8z (DLMF 10.40.2); e^-z makes the density zero
     there unless s exceeds about 1e7."""
+    # imported here: scipy.special costs more import time than the rest of
+    # the package, and no recipe needs it
+    from scipy.special import kve
+
     s = 0.5 * (p.alpha + p.beta)
     rate = p.alpha * p.beta / p.omega
     nu = abs(p.alpha - p.beta)
@@ -406,13 +424,13 @@ def gg_pdf(p: GammaGammaParams, x):
         if v == math.inf:
             return 0.0
         z = 2.0 * math.sqrt(rate) * math.sqrt(v)  # r x may underflow
-        k = float(sp.kve(nu, z))
+        k = float(kve(nu, z))
         if k < math.inf:
             log_k = math.log(k)
         elif k == math.inf:
             mu = nu - round(nu)
-            k = float(sp.kve(mu, z))
-            ratio = float(sp.kve(mu + 1.0, z)) / k
+            k = float(kve(mu, z))
+            ratio = float(kve(mu + 1.0, z)) / k
             log_k = math.log(k)
             while mu < nu - 0.5:
                 log_k += math.log(ratio)
@@ -433,6 +451,8 @@ def z2_pdf(links, x):
     (the zero-displacement fractions A_o may differ); heterogeneous xi are
     rejected.  Support is [0, prod(A_o)]; beyond it the PDF is zero.
     """
+    from scipy.special import xlogy  # imported here, as in gg_pdf
+
     links = tuple(links)
     if not links:
         raise DomainError("need at least one misaligned link")
@@ -456,7 +476,7 @@ def z2_pdf(links, x):
         # ln(edge / v)^(L - 1) is 1 for L = 1, also at the edge, and 0 there
         # for L > 1
         return np.exp(log_c + (xi - 1.0) * math.log(v / edge)
-                      + sp.xlogy(big_l - 1, math.log(edge / v)))
+                      + xlogy(big_l - 1, math.log(edge / v)))
 
     return _pointwise(at, x)
 

@@ -1,8 +1,9 @@
 """Special functions used by the product-channel statistics.
 
 Gamma and erf come from the C library and the modified Bessel function K
-from scipy, behind small validating wrappers.  A Meijer G function is its
-Mellin-Barnes integral,
+from scipy, behind small validating wrappers; scipy.special is imported on
+the first call that needs it, so that no recipe loads it.  A Meijer G
+function is its Mellin-Barnes integral,
 
     G^{m,n}_{p,q}(x | a; b) = (1/(2 pi i)) int Phi(s) x^-s ds,
     Phi(s) = prod_{j<=m} Gamma(b_j+s) prod_{j<=n} Gamma(1-a_j-s)
@@ -28,10 +29,11 @@ falls up it, and the sum on twice the step, taken from the same nodes,
 gives the error estimate.  The saddle search runs on Python floats, with
 the C library's lnGamma and the digamma and trigamma written here (`_psi`),
 from a start the kernel gives (for Z the saddle of its lognormal model) to
-its first Newton step below 1e-3; from scipy.special the line takes only
-the complex lnGamma.  Numpy holds only the node arrays and their sums; the
-rest of a call runs on Python floats, where numpy's per-call cost would
-dominate at these sizes.
+its first Newton step below 1e-3.  Complex lnGamma is Lanczos's form
+(`_lngamma_at` at a point, `_lngamma_parts` on arrays).  Numpy holds only
+the node arrays and their sums; the rest of a call runs on Python floats
+and complex numbers, where numpy's per-call cost would dominate at these
+sizes.
 `_pointwise` checks every point of a scalar or array argument and then
 evaluates them one at a time, so the two agree bit for bit.
 
@@ -44,12 +46,12 @@ Mellin transform in `distributions`).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 __all__ = [
     "DomainError",
@@ -156,10 +158,14 @@ def bessel_k(nu, x):
     Symmetric in the order: K_nu = K_{-nu} is enforced by canonicalizing to
     |nu| so the identity holds bit-for-bit.
     """
+    # imported here: scipy.special costs more import time than the rest of
+    # the package, and no recipe needs it
+    from scipy.special import kv
+
     x = float(x)
     if x <= 0:
         raise DomainError(f"bessel_k requires x > 0, got x={x}")
-    val = float(sp.kv(abs(float(nu)), x))
+    val = float(kv(abs(float(nu)), x))
     if math.isinf(val):
         raise OverflowError(
             f"bessel_k(nu={nu}, x={x}) overflows double precision (positive)"
@@ -311,6 +317,8 @@ def build_slater_expansion(spec: MeijerGSpec) -> SlaterExpansion:
     of denominator factors (a zero coefficient, not an error).  Raises
     DegenerateParametersError when two of b_1..b_m are integer-separated.
     """
+    from scipy.special import gamma, rgamma  # imported here, as in bessel_k
+
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     b_main = spec.b[:m]
     if _degenerate_pairs(b_main):
@@ -323,18 +331,18 @@ def build_slater_expansion(spec: MeijerGSpec) -> SlaterExpansion:
         coeff = 1.0
         for j in range(m):
             if j != h:  # no pole: the pairs are checked above
-                coeff *= float(sp.gamma(spec.b[j] - bh))
+                coeff *= float(gamma(spec.b[j] - bh))
         for j in range(n):
             u = 1.0 + bh - spec.a[j]
             if u <= 0 and abs(u - round(u)) < _DEGENERACY_TOL:
                 raise DegenerateParametersError(
                     f"pole in coefficient gamma({u}) for term {h}"
                 )
-            coeff *= float(sp.gamma(u))
+            coeff *= float(gamma(u))
         for j in range(n, p):
-            coeff *= float(sp.rgamma(spec.a[j] - bh))
+            coeff *= float(rgamma(spec.a[j] - bh))
         for j in range(m, q):
-            coeff *= float(sp.rgamma(1.0 + bh - spec.b[j]))
+            coeff *= float(rgamma(1.0 + bh - spec.b[j]))
         a_params = tuple(1.0 + bh - aj for aj in spec.a)
         b_params = tuple(1.0 + bh - spec.b[j] for j in range(q) if j != h)
         terms.append(SlaterTerm(bh, coeff, a_params, b_params))
@@ -385,19 +393,108 @@ def _psi(x):
     return _psi_rows(((x, 1.0, 1, 1),), 0.0)
 
 
+# Lanczos's approximation (SIAM J. Numer. Anal. B 1, 1964) with g = 7 and
+# nine terms: Gamma(z + 1) = sqrt(2 pi) t^(z + 1/2) e^-t A(z), t = z + 7.5,
+# A(z) = p_0 + sum_k p_k / (z + k), k = 1..8.
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+            771.32342877765313, -176.61502916214059, 12.507343278686905,
+            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+# the columns k - 1 and p_k of the array form, p_k cast to complex once
+_LANCZOS_K = np.arange(8.0)
+_LANCZOS_P = np.array(_LANCZOS[1:], dtype=complex)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+
+
+def _lngamma_at(z):
+    """Principal lnGamma at the Python complex z, the branch of scipy's
+    loggamma (Hare, J. Algorithms 25, 1997): continuous off the negative
+    real axis.
+
+    For Re z >= 1/2 it is Lanczos's form, each log on its principal
+    branch.  Between 0 and 1/2 the log of the Lanczos sum would leave it, so
+    lnGamma(z) = lnGamma(z + 1) - ln z.  Below, by reflection (DLMF 5.5.3),
+    lnGamma(z) = ln pi - ln sin(pi z) - lnGamma(1 - z) + 2 pi i floor(Re z /
+    2 + 1/4) sign(Im z), with sin(pi z) taken from Re z less its nearest
+    integer and scaled by e^(-pi |Im z|), so that it keeps its digits near
+    the poles and cannot overflow.  A pole raises ValueError.
+    """
+    x = z.real
+    if x >= 0.5:
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = _LANCZOS
+        a = (p0 + p1 / z + p2 / (z + 1.0) + p3 / (z + 2.0) + p4 / (z + 3.0)
+             + p5 / (z + 4.0) + p6 / (z + 5.0) + p7 / (z + 6.0) + p8 / (z + 7.0))
+        t = z + 6.5
+        return (z - 0.5) * cmath.log(t) - t + _HALF_LOG_2PI + cmath.log(a)
+    if x >= 0.0:
+        return _lngamma_at(z + 1.0) - cmath.log(z)
+    v = z.imag
+    n = round(x)
+    r = math.pi * (x - n)
+    av = math.pi * abs(v)
+    sign = -1.0 if n % 2 else 1.0  # and cos(r) >= 0
+    re = sign * math.sin(r) * (0.5 + 0.5 * math.exp(-2.0 * av))
+    im = sign * math.cos(r) * math.copysign(-0.5 * math.expm1(-2.0 * av), v)
+    arg = math.copysign(2.0 * math.pi, v) * math.floor(0.5 * x + 0.25)
+    return (complex(_LOG_PI - av - math.log(math.hypot(re, im)), arg - math.atan2(im, re))
+            - _lngamma_at(1.0 - z))
+
+
+def _lngamma_parts(zk, reflect):
+    """(l, m) with lnGamma(z) = l + ln m - (z + 6.5) + ln(2 pi) / 2 modulo
+    2 pi i, on the complex array z = zk[..., 0], given as its columns zk[...,
+    k] = z + k, k = 0..7, of the Lanczos sum: Lanczos's form with its logs
+    of the Lanczos sum and of the sine left in the factor m, which stays of
+    modest size away from the poles (near 1 for large |z|), so that a
+    product of m over many rows keeps its digits and needs one log.  The term linear in z is left
+    to the caller, who sums it over rows in closed form.  Below Re z = 1/2
+    the log of the Lanczos sum leaves the principal branch, which modulo 2 pi
+    i does not matter, and its value keeps its digits down to Re z = 0; only
+    where `reflect` is true may z have elements with Re z < 0, which reflect
+    as in `_lngamma_at`."""
+    z = zk[..., 0]
+    if reflect:
+        refl = z.real < 0.0
+        y = np.where(refl, 1.0 - z, z)
+        l, m = _lngamma_parts(y[..., None] + _LANCZOS_K, False)
+        x, v = z.real, z.imag
+        n = np.rint(x)
+        r = math.pi * (x - n)
+        av = math.pi * np.abs(v)
+        sn = (1.0 - 2.0 * np.mod(n, 2.0)) * (
+            np.sin(r) * (0.5 + 0.5 * np.exp(-2.0 * av))
+            + 1j * np.cos(r) * np.copysign(-0.5 * np.expm1(-2.0 * av), v))
+        # ln pi - ln sin(pi z) - lnGamma(y), y = 1 - z, with the linear
+        # terms (y + 6.5) + (z + 6.5) = 14 moved into l
+        return (np.where(refl, _LOG_PI + 14.0 - 2.0 * _HALF_LOG_2PI - av - l, l),
+                np.divide(1.0, sn * m, out=m, where=refl))
+    return (z - 0.5) * np.log(z + 6.5), np.reciprocal(zk) @ _LANCZOS_P + _LANCZOS[0]
+
+
 class _GammaKernel:
     """log K(s) = s log_scale + log_norm + sum_rows power lnGamma(base + sign s)
     - sum ln(xi + s), sign and power +-1: the integrand that _mb_integral
     sums, a Meijer G's Phi(s) and the Mellin transform E[Z^s] of the
     composite channel alike.  Rows are merged per distinct (base, sign),
     which identical links repeat, into `plus` (sign +1) and `minus` (sign
-    -1) with their net powers.  Complex lnGamma is taken once per distinct
-    pair and gathered back to every row, so the sum over rows is that over
-    all rows bit for bit; where every row is its own pair, as for channels
-    without identical links, there is nothing to gather, and absent minus,
-    denominator or pointing rows cost nothing.  The real slices run on
-    floats, once per pair times its net power.  Everything that does not
-    depend on s or ln x is built here, once per kernel."""
+    -1) with their net powers.  lnGamma is taken once per distinct pair.
+    On arrays it is gathered back to every row, so the sums and products
+    over rows are those over all rows bit for bit; where every row is its
+    own pair, as for channels without identical links, there is nothing to
+    gather, and absent minus, denominator or pointing rows cost nothing.  At
+    a point, and on the real slices, which run on floats, it enters once per
+    pair times its net power.  Everything that does not depend on s or ln x
+    is built here, once per kernel.
+
+    K has two complex forms, both on the Lanczos lnGamma.  `log_moment`
+    takes it at one point on Python complex numbers, every log on its
+    principal branch, so that its imaginary part is continuous along a path
+    off the cuts.  `log_fused` takes it on an array: the factors whose logs
+    the principal form adds up (the rows' Lanczos sums and shifts, the
+    pointing rows and a caller's factor) are multiplied into one array, of
+    which it takes one log, right modulo 2 pi i, which is all a sum of
+    exponentials needs; the terms linear in s of all rows are summed once,
+    here."""
 
     def __init__(self, rows, xis=(), log_scale=0.0):
         power = {}  # net power per (base, sign)
@@ -409,9 +506,10 @@ class _GammaKernel:
         up = [keys.index((b, sign)) for b, sign, pw in rows if pw > 0]
         self.up = None if up == list(range(len(keys))) else up
         self.down = [keys.index((b, sign)) for b, sign, pw in rows if pw < 0]
-        # the columns that log_moment adds s to, and subtracts s from
-        self.base = np.array([[b] for b, _ in self.plus])
-        self.mirror = np.array([[b] for b, _ in self.minus]) if self.minus else None
+        # the columns base + k - 1 of the Lanczos sum that log_fused adds s
+        # to, and subtracts s from
+        self.base = np.array([[[b]] for b, _ in self.plus]) + _LANCZOS_K
+        self.mirror = np.array([[[b]] for b, _ in self.minus]) + _LANCZOS_K if self.minus else None
         self.xis = np.array(xis)
         self.xi_col = self.xis[:, None]
         self.pointing = tuple(xis)
@@ -426,19 +524,43 @@ class _GammaKernel:
                           + [b for b, k in self.minus if k > 0] + [-xi for xi in xis])
         self.poles = np.array(self.pole_list)
         self.decay = 0.5 * math.pi * sum(power.values())
+        # the terms of log_fused linear in s, -(base + sign s + 6.5) +
+        # ln(2 pi) / 2 per row and power, summed here
+        self.fused_scale = log_scale - sum(pw * sign for (b, sign), pw in power.items())
+        self.fused_norm = sum(pw * (_HALF_LOG_2PI - 6.5 - b) for (b, sign), pw in power.items())
+        # where Re s keeps every Gamma argument in the right half-plane
+        self.safe_lo = -min((b for b, _ in self.plus), default=-math.inf)
+        self.safe_hi = min((b for b, _ in self.minus), default=math.inf)
 
     def log_moment(self, s):
-        """log K on the complex array s."""
-        lg = sp.loggamma(self.base + s)
-        if self.minus:
-            lg = np.concatenate((lg, sp.loggamma(self.mirror - s)))
-        out = s * self.log_scale + self.log_norm + np.add.reduce(
-            lg if self.up is None else lg[self.up], axis=0)
+        """log K at the Python complex s, every log on its principal branch."""
+        v = s * self.log_scale + self.log_norm
+        for b, k in self.plus:
+            v += k * _lngamma_at(b + s)
+        for b, k in self.minus:
+            v += k * _lngamma_at(b - s)
+        for xi in self.pointing:
+            v -= cmath.log(xi + s)
+        return v
+
+    def log_fused(self, s, lx, factor, lo, hi):
+        """log(x^-s K(s) factor), ln x = lx, on the complex array s with lo
+        <= Re s <= hi, modulo 2 pi i, with one complex log for the whole
+        product (see the class docstring)."""
+        col = s[:, None]
+        zk = self.base + col
+        if self.mirror is not None:
+            zk = np.concatenate((zk, self.mirror - col))
+        l, m = _lngamma_parts(zk, lo < self.safe_lo or hi > self.safe_hi)
+        lg = np.add.reduce(l if self.up is None else l[self.up], axis=0,
+                           initial=self.log_norm + self.fused_norm)
+        prod = np.multiply.reduce(m if self.up is None else m[self.up], axis=0) * factor
         if self.down:
-            out = out - np.add.reduce(lg[self.down], axis=0)
+            lg = lg - np.add.reduce(l[self.down], axis=0)
+            prod = prod / np.multiply.reduce(m[self.down], axis=0)
         if self.pointing:
-            out = out - np.add.reduce(np.log(self.xi_col + s), axis=0)
-        return out
+            prod = prod / np.multiply.reduce(self.xi_col + s, axis=0)
+        return s * (self.fused_scale - lx) + lg + np.log(prod)
 
     def start(self, lx, lo, hi, c, pole):
         """Where the saddle search on (lo, hi) starts: at c, the start its
@@ -545,9 +667,10 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     exponentiated, so a value it brings back from below the smallest double
     keeps its digits.
 
-    The _GammaKernel gives log M on complex arrays (`log_moment`), the real
-    slice log(x^-c M(c) / |c|^pole) and its first two derivatives in c on
-    floats (`log_size`, `slopes`), the poles next to the strip (`poles`), the
+    The _GammaKernel gives log M at a complex point on its principal branch
+    (`log_moment`) and on a complex array modulo 2 pi i (`log_fused`), the
+    real slice log(x^-c M(c) / |c|^pole) and its first two derivatives in c
+    on floats (`log_size`, `slopes`), the poles next to the strip (`poles`), the
     rate at which |M(c + it)| falls in |t| far up the line (`decay`), and
     where in the strip the saddle search starts (`start`, from c).  Where
     the search meets a pole of the real slice, or no minimum, the call
@@ -591,10 +714,6 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     if pole:
         near = min(near, abs(c))
 
-    def log_integrand(s):
-        logv = kern.log_moment(s) - s * lx
-        return logv - np.log(s) if pole else logv
-
     # The integrand is analytic in the region and bounded there by its real
     # value at c +- a, so the discretization error falls like
     # exp(-2 pi eta / h) times that bound; the node count grows like
@@ -606,15 +725,25 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     budget = 1.0 - math.log(_MB_TOL)
     width = math.sqrt(2.0 * budget / curv)
     a = min(_MB_STRIP * near, width)
-    # the integrand at c -+ a on the real axis and at the height T where
-    # `decay` has spent the budget: across the strip at height T the real
-    # part of the change of its log is the growth across the line, the
-    # imaginary part (Cauchy-Riemann) the fall up it over the same distance
+    # the integrand at c -+ a on the real axis (the float slice) and at the
+    # height T where `decay` has spent the budget: across the strip at
+    # height T the real part of the change of its log is the growth across
+    # the line, the imaginary part (Cauchy-Riemann) the fall up it over the
+    # same distance, which needs every log on its principal branch
     top = width + budget / kern.decay
-    v0, v1, v2, v3 = log_integrand(
-        np.array([c - a, c + a, c - a + 1j * top, c + a + 1j * top])).tolist()
-    # the larger real part, NaN if either is (as numpy's max)
-    edge = v0.real if v0.real >= v1.real or v0.real != v0.real else v1.real
+    s2, s3 = complex(c - a, top), complex(c + a, top)
+    try:
+        e0, e1 = kern.log_size(c - a, lx, pole), kern.log_size(c + a, lx, pole)
+        v2 = kern.log_moment(s2) - s2 * lx
+        v3 = kern.log_moment(s3) - s3 * lx
+        if pole:
+            v2, v3 = v2 - cmath.log(s2), v3 - cmath.log(s3)
+    except (ZeroDivisionError, ValueError) as exc:
+        # a zero of the integrand (a pole of a denominator's Gamma) at c -+ a
+        raise AccuracyError(
+            f"Mellin-Barnes integrand vanishes on its strip (ln x = {lx:.6g})") from exc
+    # the larger of the two, NaN if either is
+    edge = e0 if e0 >= e1 or e0 != e0 else e1
     step = v3 - v2
     rise, fall = abs(step.real), step.imag
     if not fall > 0.0:
@@ -640,7 +769,9 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
         n = min(n, _MB_MAX_NODES - k0)
         u = h * np.arange(k0, k0 + n)
         # the weight dt/du = w cosh(u), its factor w taken out into the scale
-        logv = log_integrand(c + 1j * (w * np.sinh(u))) + np.log(np.cosh(u))
+        s = 1j * w * np.sinh(u) + c
+        weight = np.cosh(u)
+        logv = kern.log_fused(s, lx, weight / s if pole else weight, c, c)
         below = logv.real < floor
         if not k0:
             below[0] = False  # node 0 is the peak itself

@@ -347,15 +347,37 @@ class TestEval:
 
 class TestColdImport:
     def test_cli_import_leaves_heavy_scipy_modules_unloaded(self):
-        # scipy.interpolate (with optimize, linalg, sparse, spatial) loads
-        # on the first ks_statistic call, and scipy.constants never
+        # the recipe path runs on numpy alone: no scipy module loads on
+        # import or through analytic and Monte Carlo runs.  scipy.special
+        # loads on the first call that needs K_nu, Gamma or xlogy, and
+        # scipy.interpolate (with optimize, linalg, sparse, spatial) on the
+        # first ks_statistic call; scipy.constants never
         code = """
 import sys
 import numpy as np
-import cascade_fading.cli
-assert "scipy.interpolate" not in sys.modules, "scipy.interpolate"
+import cascade_fading.cli as cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+assert not scipy_modules(), scipy_modules()
+for name, mode in (("fig3_weak_weak", "analytic"), ("fig7_weak", "analytic"),
+                   ("fig13_worst", "mc")):
+    text, flagged = cli.run(cli.parse_config(cli.recipe_path(name)), mode=mode,
+                            samples=20000)
+    assert text.count("\\n") > 2 and not flagged, (name, flagged)
+assert not scipy_modules(), scipy_modules()
+from cascade_fading import specfun
+from cascade_fading.distributions import GammaGammaParams, PointingErrorParams, gg_pdf, z2_pdf
+assert 0.0 < gg_pdf(GammaGammaParams(10.02, 2.98), 0.5) < 10.0
+assert "scipy.special" in sys.modules
+assert abs(specfun.bessel_k(0.5, 1.0) / (np.sqrt(np.pi / 2.0) * np.exp(-1.0)) - 1.0) < 1e-14
+assert z2_pdf((PointingErrorParams(6.7, 0.8), PointingErrorParams(6.7, 0.9)), 0.5) > 0.0
+expansion = specfun.build_slater_expansion(specfun.MeijerGSpec(2, 0, 0, 2, (), (10.02, 2.98)))
+assert len(expansion.terms) == 2 and all(np.isfinite(t.coefficient) for t in expansion.terms)
 assert "scipy.constants" not in sys.modules, "scipy.constants"
-from cascade_fading import CompositeProduct, GammaGammaParams, ks_statistic, sample_z
+assert "scipy.interpolate" not in sys.modules, "scipy.interpolate"
+from cascade_fading import CompositeProduct, ks_statistic, sample_z
 ch = CompositeProduct((GammaGammaParams(10.02, 2.98),))
 d = ks_statistic(ch, sample_z(ch, np.random.default_rng(3), 2000), grid_points=256)
 assert 0.0 < d < 0.05, d

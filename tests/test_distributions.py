@@ -2,8 +2,12 @@
 oracles.  Every [derived] expectation here is computed by an independent
 numerical method in the test itself."""
 
+import cmath
 import gc
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 
@@ -609,7 +613,9 @@ class TestSampling:
 def _doubling_reference(law, lx, kind):
     """The line integral on the mapped nodes t = w sinh(k h), evaluated in
     chunks of 64, 128, ... nodes and refused once 2^16 nodes have been
-    passed.  Returns (value, error estimate, nodes summed)."""
+    passed: the strip's edge on the real axis from the law's float slice,
+    its two top corners in the principal form of the law, the chunks in its
+    fused form.  Returns (value, error estimate, nodes summed)."""
     pole = kind != "f"
     sign = -1.0 if kind == "F" else 1.0
     if kind == "F":
@@ -624,15 +630,14 @@ def _doubling_reference(law, lx, kind):
 
     def log_integrand(s):
         logv = law.log_moment(s) - s * lx
-        return logv - np.log(s) if pole else logv
+        return logv - cmath.log(s) if pole else logv
 
     budget = 1.0 - math.log(specfun._MB_TOL)
     width = math.sqrt(2.0 * budget / curv)
     a = min(specfun._MB_STRIP * float(np.min(np.abs(c - poles))), width)
     top = 1j * (width + budget / law.decay)
-    pre = log_integrand(np.array([c - a, c + a, c - a + top, c + a + top]))
-    edge = float(pre.real[:2].max())
-    step = complex(pre[3] - pre[2])
+    edge = max(law.log_size(c - a, lx, pole), law.log_size(c + a, lx, pole))
+    step = log_integrand(c + a + top) - log_integrand(c - a + top)
     eta = math.atan(specfun._MB_ANGLE * step.imag / max(abs(step.real), step.imag))
     w = a / math.sin(eta)
     h = 2.0 * math.pi * eta / (edge - peak + budget)
@@ -640,7 +645,8 @@ def _doubling_reference(law, lx, kind):
     chunks, k0, n = [], 0, 64
     while True:
         u = h * np.arange(k0, k0 + n)
-        logv = log_integrand(c + 1j * (w * np.sinh(u))) + np.log(np.cosh(u))
+        s = 1j * w * np.sinh(u) + c
+        logv = law.log_fused(s, lx, np.cosh(u) / s if pole else np.cosh(u), c, c)
         small = logv.real < floor
         small[0] &= k0 > 0
         if small.any():
@@ -677,17 +683,22 @@ SCALAR_CHANNELS = {
 
 
 class _NodeCount:
-    """Counts the nodes passed to _MellinLaw.log_moment while installed."""
+    """Counts the nodes passed to either complex form of the Mellin law,
+    _MellinLaw.log_moment and log_fused, while installed."""
 
     def __init__(self, monkeypatch):
         self.nodes = 0
-        inner = distributions._MellinLaw.log_moment
+        for name in ("log_moment", "log_fused"):
+            monkeypatch.setattr(distributions._MellinLaw, name, self._counted(name))
 
-        def log_moment(law, s):
+    def _counted(self, name):
+        inner = getattr(distributions._MellinLaw, name)
+
+        def form(law, s, *args):
             self.nodes += np.size(s)
-            return inner(law, s)
+            return inner(law, s, *args)
 
-        monkeypatch.setattr(distributions._MellinLaw, "log_moment", log_moment)
+        return form
 
 
 class _ShortFirstChunk:
@@ -731,8 +742,8 @@ class TestNodeSchedule:
 
     @pytest.mark.parametrize("label", SCALAR_CHANNELS)
     # the first chunk extrapolates the fall at height T down to the floor;
-    # the overshoot measured is at most 16%, the four nodes that bound the
-    # strip in every call included
+    # the overshoot measured is at most 16%, the complex nodes at the top
+    # corners of the strip in every call included
     @pytest.mark.parametrize("lo,hi,bound", [(1e-3, 10.0, 1.25), (1e-7, 20.0, 1.25)])
     def test_evaluates_few_unused_nodes(self, label, lo, hi, bound, monkeypatch):
         law = SCALAR_CHANNELS[label]._law
@@ -748,22 +759,23 @@ class TestNodeSchedule:
         assert count.nodes <= bound * used
 
     def test_refusal_evaluates_at_most_the_cap(self, monkeypatch):
-        # the clean pair's CDF at x = 1e-6 evaluates four nodes that bound
-        # the strip and set its angle and one chunk of 168 nodes, and cuts
-        # the sum at node 166: smaller caps force the refusals
+        # the clean pair's CDF at x = 1e-6 evaluates the two complex nodes
+        # at the top corners of the strip, which set its angle, and one chunk
+        # of 168 nodes, and cuts the sum at node 166: smaller caps force the
+        # refusals
         ch = SCALAR_CHANNELS["clean_pair"]
         count = _NodeCount(monkeypatch)
         # a cap inside the first chunk sizes it at the cap itself
         monkeypatch.setattr(specfun, "_MB_MAX_NODES", 128)
         with pytest.raises(AccuracyError, match="128 nodes"):
             z_cdf(ch, 1e-6)
-        assert count.nodes == 4 + specfun._MB_MAX_NODES
+        assert count.nodes == 2 + specfun._MB_MAX_NODES
         # a cap inside a later chunk clips that chunk
         count.nodes = 0
         monkeypatch.setattr(specfun, "math", _ShortFirstChunk())
         with pytest.raises(AccuracyError, match="128 nodes"):
             z_cdf(ch, 1e-6)
-        assert count.nodes == 4 + specfun._MB_MAX_NODES
+        assert count.nodes == 2 + specfun._MB_MAX_NODES
 
     def test_short_first_chunk_is_continued(self, monkeypatch):
         # where the first chunk's reach falls short, later chunks, each
@@ -774,18 +786,18 @@ class TestNodeSchedule:
                 args = (law, math.log(x), kind)
                 expect = _outcome(_doubling_reference, *args)
                 calls = []
-                inner = distributions._MellinLaw.log_moment
+                inner = distributions._MellinLaw.log_fused
                 with monkeypatch.context() as m:
-                    m.setattr(distributions._MellinLaw, "log_moment",
-                              lambda law, s: calls.append(1) or inner(law, s))
+                    m.setattr(distributions._MellinLaw, "log_fused",
+                              lambda law, *args: calls.append(1) or inner(law, *args))
                     m.setattr(specfun, "math", _ShortFirstChunk())
                     assert _outcome(distributions._line_integral, *args) == expect
-                assert len(calls) > 2, (x, kind)
+                assert len(calls) > 1, (x, kind)
 
     def test_cap_counts_node_indices(self, monkeypatch):
         # the first node below the floor has index `used`: a cap of
-        # used + 1 nodes reaches it, a cap of `used` refuses after the four
-        # nodes that bound the strip and `used` line nodes
+        # used + 1 nodes reaches it, a cap of `used` refuses after the two
+        # complex nodes at the top corners of the strip and `used` line nodes
         law = SCALAR_CHANNELS["clean_pair"]._law
         lx = math.log(1e-6)
         val, err, used = _doubling_reference(law, lx, "F")
@@ -796,7 +808,7 @@ class TestNodeSchedule:
         count = _NodeCount(monkeypatch)
         with pytest.raises(AccuracyError):
             distributions._line_integral(law, lx, "F")
-        assert count.nodes == 4 + used
+        assert count.nodes == 2 + used
 
     def test_residue_doubling_reuses_nodes(self, monkeypatch):
         # at x = 1e-4 the leading pole cluster of (0.6, 0.5)(0.7, 0.55)
@@ -812,7 +824,7 @@ class TestNodeSchedule:
         # the same sum as all 256 nodes evaluated at once
         mid, r = 0.5 * (cluster[0] + cluster[-1]), 0.5 * (cluster[0] - cluster[-1] + rho)
         z = r * np.exp(2j * math.pi / 256 * np.arange(256))
-        logv = law.log_moment(mid + z) - (mid + z) * lx - np.log(-mid - z) + np.log(z)
+        logv = law.log_fused(mid + z, lx, z / -(mid + z), mid - r, mid + r)
         v = np.exp(logv - logv.real.max())
         assert (top, val, mass) == (float(logv.real.max()), v.mean().real, np.abs(v).mean())
         # and 128 nodes do not suffice
@@ -975,8 +987,9 @@ STRIP_ZEROS = {
 
 class TestSaddleSearch:
     """The saddle search starts from the saddle of the lognormal model of
-    ln Z and stops on its first Newton step below 1e-3 (1 + |c|).  Both
-    pins are counts and positions, not timings."""
+    ln Z, or far right from the asymptote of the slope, and stops on its
+    first Newton step below 1e-3 (1 + |c|).  The pins are counts and
+    positions, not timings."""
 
     GRID = np.exp(np.linspace(math.log(1e-7), math.log(50.0), 40))
 
@@ -1011,6 +1024,20 @@ class TestSaddleSearch:
     @staticmethod
     def _log_points(law):
         return (-700.0, -50.0, law.mean_log - 1e-9, law.mean_log + 1e-9, 50.0, 700.0)
+
+    @pytest.mark.parametrize("label", STRIP_CHANNELS)
+    def test_few_slope_evaluations_far_out(self, label, monkeypatch):
+        # at ln x = 700 the saddle of the Q and f lines lies near
+        # e^(700 / n) for n shapes; Newton from the lognormal saddle alone
+        # took 35-79 slope evaluations there
+        law = STRIP_CHANNELS[label]._law
+        log = _SaddleLog(monkeypatch)
+        for lx in (-700.0, 700.0):
+            for kind in "FQf":
+                before = log.slopes
+                val, err = distributions._line_integral(law, lx, kind)
+                assert log.slopes - before <= 10, (lx, kind)
+                assert (val == 0.0) == (kind in STRIP_ZEROS[label].get(lx, "")), (lx, kind)
 
     @pytest.mark.parametrize("label", STRIP_CHANNELS)
     def test_start_inside_the_strip(self, label, monkeypatch):
@@ -1051,19 +1078,28 @@ class TestMellinLawSlices:
     """The real slices of the line integral's kernel run on floats; their
     values against scipy are pinned by test_specfun's TestMeijerGKernel."""
 
-    def test_no_real_scipy_function_on_the_path(self, monkeypatch):
-        # the saddle search, the law and the meijer_g kernel use math and
-        # specfun._psi: scipy gives only the complex lnGamma on the line
-        def banned(*args):
-            raise AssertionError("scipy real special function called")
-
-        for name in ("digamma", "zeta", "gammaln"):
-            monkeypatch.setattr(distributions.sp, name, banned)
-        ch = CompositeProduct((WEAK, STRONG), (PE_A, PE_B))
-        for x in (1e-6, 0.3, 5.0):
-            z_cdf(ch, x)
-            z_pdf(ch, x)
-        specfun.meijer_g(MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.23, 0.0)), 0.1)
+    def test_no_real_scipy_function_on_the_path(self):
+        # the saddle search, the law and the meijer_g kernel use math,
+        # specfun._psi and the Lanczos lnGamma of specfun: in a fresh
+        # interpreter no scipy module is loaded along the whole path
+        code = """
+import sys
+from cascade_fading import specfun
+from cascade_fading.distributions import (
+    CompositeProduct, GammaGammaParams, PointingErrorParams, z_cdf, z_cdf_asymptotic, z_pdf)
+ch = CompositeProduct((GammaGammaParams(10.02, 2.98), GammaGammaParams(4.942, 1.231)),
+                      (PointingErrorParams(6.7, 0.8), PointingErrorParams(5.1, 0.9)))
+for x in (1e-6, 0.3, 5.0):
+    assert 0.0 < z_cdf(ch, x) < 1.0 and z_pdf(ch, x) > 0.0
+assert z_cdf_asymptotic(ch, 1e-6) > 0.0
+assert specfun.meijer_g(specfun.MeijerGSpec(2, 1, 1, 3, (1.0,), (4.94, 1.23, 0.0)), 0.1).value > 0.0
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestLawPerChannel:
@@ -1093,20 +1129,38 @@ class TestLawPerChannel:
         assert ref() is None
 
     def test_lngamma_once_per_distinct_shape(self, monkeypatch):
-        # weak^3 repeats each of its two shapes three times
+        # weak^3 repeats each of its two shapes three times: both complex
+        # forms of the law take lnGamma once per distinct shape, and the
+        # fused one gathers its parts back to all six rows bit for bit
         law = DEEP_TAIL_CHANNELS["weak3_pe2"]._law
         s = -1.3 + 1j * np.linspace(0.0, 40.0, 97)
-        expect = s * law.log_scale + law.log_norm
-        expect = expect + distributions.sp.loggamma(law.shapes[:, None] + s).sum(axis=0)
-        expect = expect - np.log(law.xis[:, None] + s).sum(axis=0)
-        rows = []
-        inner = distributions.sp.loggamma
+        lx, factor = 0.7, np.cosh(np.linspace(0.0, 2.0, 97)) / s
+        zk = (law.shapes[:, None] + specfun._LANCZOS_K)[:, None, :] + s[:, None]
+        l, m = specfun._lngamma_parts(zk, False)
+        prod = np.multiply.reduce(m, axis=0) * factor
+        prod = prod / np.multiply.reduce(law.xis[:, None] + s, axis=0)
+        expect = (s * (law.fused_scale - lx)
+                  + np.add.reduce(l, axis=0, initial=law.log_norm + law.fused_norm)
+                  + np.log(prod))
+        point = complex(-1.3, 7.0)
+        expect_at = (point * law.log_scale + law.log_norm
+                     + sum(specfun._lngamma_at(b + point) for b in law.shapes)
+                     - sum(cmath.log(xi + point) for xi in law.xis))
+        rows, calls = [], []
+        inner_parts, inner_at = specfun._lngamma_parts, specfun._lngamma_at
 
-        def loggamma(z):
-            rows.append(np.shape(z)[0])
-            return inner(z)
+        def parts(zk, reflect):
+            rows.append(np.shape(zk)[0])
+            return inner_parts(zk, reflect)
 
-        monkeypatch.setattr(distributions.sp, "loggamma", loggamma)
-        got = law.log_moment(s)
-        assert rows == [2] and law.shapes.size == 6
+        def at(z):
+            calls.append(z)
+            return inner_at(z)
+
+        monkeypatch.setattr(specfun, "_lngamma_parts", parts)
+        monkeypatch.setattr(specfun, "_lngamma_at", at)
+        got = law.log_fused(s, lx, factor, -1.3, -1.3)
+        got_at = law.log_moment(point)
+        assert rows == [2] and len(calls) == 2 and law.shapes.size == 6
         assert got.tobytes() == expect.tobytes()
+        assert abs(got_at - expect_at) <= 1e-14 * abs(expect_at)

@@ -1,5 +1,6 @@
 """Special-function layer: reference values, identities, error behavior."""
 
+import cmath
 import math
 
 import mpmath
@@ -463,3 +464,80 @@ class TestMeijerGKernel:
                         np.abs(k * sp.digamma(args)).sum() + abs(lx) + 1.0), (c, lx)
                     assert abs(got[2] - g2) <= 1e-13 * (
                         np.abs(k * sp.zeta(2.0, args)).sum() + 1.0), (c, lx)
+
+
+def _mod_2pi_i(d):
+    """d with its imaginary part reduced to [-pi, pi]."""
+    return complex(d.real, math.remainder(d.imag, 2.0 * math.pi))
+
+
+class TestLogGamma:
+    """The Lanczos lnGamma behind every Mellin-Barnes integral: its
+    principal form at a point (`_lngamma_at`) and its fused form on arrays
+    (`_lngamma_parts`, exact modulo 2 pi i, unshifted down to Re z = 0),
+    both against mpmath.loggamma within 1e-14 max(1, |lnGamma|)."""
+
+    @staticmethod
+    def _check(zs):
+        z = np.array(zs, dtype=complex)
+        l, m = specfun._lngamma_parts(z[:, None] + specfun._LANCZOS_K, True)
+        fused = l + np.log(m) - (z + 6.5) + specfun._HALF_LOG_2PI
+        for v, f in zip(zs, fused.tolist()):
+            ref = complex(mpmath.loggamma(v))
+            tol = 1e-14 * max(1.0, abs(ref))
+            assert abs(specfun._lngamma_at(v) - ref) <= tol, v
+            assert abs(_mod_2pi_i(f - ref)) <= tol, v
+
+    def test_right_half_plane(self):
+        ims = [0.0, *np.geomspace(1e-3, 3000.0, 22)]
+        self._check([complex(x, sign * y) for x in np.geomspace(1e-3, 200.0, 24)
+                     for y in ims for sign in (1.0, -1.0)])
+
+    def test_reflection(self):
+        # Re z in [-60, 1/2), at least 1e-3 off the poles, and on the sides
+        # of the poles themselves
+        xs = [*np.arange(-60.0, 0.5, 0.437), *(n + d for n in (-59.0, -7.0, -1.0, 0.0)
+                                               for d in (-1e-3, 1e-3))]
+        xs = [x for x in xs if x < 0.5 and abs(x - round(x)) >= 1e-3 - 1e-15]
+        ims = np.geomspace(1e-3, 3000.0, 12)
+        self._check([complex(x, sign * y) for x in xs for y in ims for sign in (1.0, -1.0)])
+
+    def test_next_to_the_negative_axis(self):
+        # -0.55 - 1e-300j was off by 2 pi i in an earlier kernel
+        self._check([complex(x, y) for x in (-0.55, -3.3, -7.7, -59.45)
+                     for y in (1e-300, -1e-300, 1e-12, -1e-12)])
+
+    @pytest.mark.parametrize("top", [0.5, 3.0, 40.0])
+    def test_principal_form_continuous_across_a_strip(self, top):
+        # the probe of _mb_integral reads the fall up a line from the
+        # difference of imaginary parts across the strip; here the strip
+        # passes Re z = -6.3 .. 6.3, where the form switches from the
+        # reflection to the shift and to the plain Lanczos sum
+        xs = np.linspace(-6.3, 6.3, 2521)
+        im = [specfun._lngamma_at(complex(x, top)).imag for x in xs]
+        assert np.max(np.abs(np.diff(im))) <= 0.05
+        for x in (-6.3, 6.3):
+            ref = complex(mpmath.loggamma(complex(x, top)))
+            assert abs(specfun._lngamma_at(complex(x, top)) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("case", [*ORACLE_CASES, *LAW_CASES])
+    def test_fused_form_sums_the_principal_one(self, case):
+        # on the lines of every kernel, and for the Mellin laws on a circle
+        # around their first pole, where lnGamma reflects: log_fused is
+        # log_moment - s ln x + ln factor modulo 2 pi i
+        kern, lines, lxs = _slice_case(case)
+        t = np.linspace(0.0, 40.0, 41)
+        paths = [(c + 1j * t, c, c) for c, _ in lines[::4]]
+        if case in LAW_CASES:
+            mid = -kern.b_min - 1.0
+            paths.append((mid + 0.7 * np.exp(0.1j * np.arange(63)), mid - 0.7, mid + 0.7))
+        for s, lo, hi in paths:
+            factor = np.cosh(0.05 * np.arange(s.size)) / s
+            for lx in lxs:
+                got = kern.log_fused(s, lx, factor, lo, hi)
+                for v, f, g in zip(s.tolist(), factor.tolist(), got.tolist()):
+                    want = kern.log_moment(v) - v * lx + cmath.log(f)
+                    scale = 1.0 + abs(v * lx) + sum(
+                        abs(k * specfun._lngamma_at(b + v)) for b, k in kern.plus) + sum(
+                        abs(k * specfun._lngamma_at(b - v)) for b, k in kern.minus)
+                    assert abs(_mod_2pi_i(g - want)) <= 1e-14 * scale, (case, v, lx)
