@@ -1,11 +1,12 @@
 """Command-line front end: scenario configs, sweeps, CSV output.
 
-Configs are INI files (one [config] block, one [sweep], one [transceiver],
-optional [atmosphere], numbered [link.k] blocks).  Fields suffixed `_db`
-are decibel-valued and converted to linear scale at parse time; everything
-else is SI.  Each link takes either direct distribution parameters
-(alpha/beta, optionally xi/a_o) or physical geometry (distance, aperture,
-beam_waist, jitter) resolved through the channels module.
+Configs are INI files (one [config] block, one [sweep], optional
+[transceiver] and [atmosphere], numbered [link.k] blocks); the config
+dataclasses below state each section's keys and their types.  Fields
+suffixed `_db` are decibel-valued and converted to linear scale at parse
+time; everything else is SI.  Each link takes either direct distribution
+parameters (alpha/beta, optionally xi/a_o) or physical geometry (distance,
+aperture, beam_waist, jitter) resolved through the channels module.
 
     cascade-fading run <config> [--mode analytic|mc|both] [--seed K]
                        [--samples N] [--out FILE]
@@ -19,15 +20,15 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 BOLTZMANN = 1.380649e-23  # J/K, exact in the SI since 2019
 
 from .channels import (
+    SPEED_OF_LIGHT,
     ThzAtmosphere,
     ThzLinkBudget,
     TURBULENCE_PRESETS,
@@ -104,7 +105,7 @@ class SweepConfig:
     start: float
     stop: float
     points: int
-    scale: str  # linear | log | db
+    scale: str = "linear"  # linear | log | db
 
     def grid(self):
         if self.points == 1:
@@ -163,40 +164,42 @@ class ScenarioConfig:
     sweep: SweepConfig
 
 
-_LINK_FLOAT_KEYS = (
-    "alpha", "beta", "omega", "xi", "a_o",
-    "distance", "aperture", "beam_waist", "jitter",
-)
-_TRX_KEYS = {
-    "snr_ratio_db": float, "gamma_th_db": float, "kappa_t": float,
-    "kappa_r": float, "branches": int, "power_dbw": float,
-    "bandwidth": float, "noise_figure_db": float, "gain_tx_dbi": float,
-    "gain_rx_dbi": float, "ris_reflection": float,
-}
-_ATM_KEYS = {
-    "cn2": float, "wavelength": float, "alpha_weather_db_km": float,
-    "rho": float, "temperature": float, "pressure": float,
-    "humidity": float, "frequency": float,
-}
+@dataclass(frozen=True)
+class _Header:
+    """The [config] section."""
+    config_version: int
+    scenario: str
 
 
-def _fields(parser, section, kinds, required=()):
-    """The fields of `section` parsed by their kinds (no fields when the
-    section is absent).  An accepted field must affect the result, so a key
-    that the section does not define (a misspelling) is an error, not
-    ignored."""
+# the kind of a config field, by its annotation (a string, as annotations are
+# postponed in this module)
+_KINDS = {"float": float, "float | None": float, "int": int, "bool": bool, "str": str}
+
+
+def _fields(parser, section, cls):
+    """The fields of `section` parsed by the kinds of the dataclass `cls`'s
+    fields; a field without a default is required.  An accepted field must
+    affect the result, so a key that `cls` does not define (a misspelling)
+    is an error, not ignored, and so is a bool that is not one of
+    configparser's spellings."""
+    schema = cls.__dataclass_fields__
+    if not parser.has_section(section):
+        if any(f.default is MISSING for f in schema.values()):
+            raise ConfigError(section, "-", f"missing [{section}] section")
+        return {}
     out = {}
-    for key in parser.options(section) if parser.has_section(section) else ():
-        if key not in kinds:
+    for key in parser.options(section):
+        if key not in schema:
             raise ConfigError(section, key, "unknown field")
-        raw, kind = parser.get(section, key), kinds[key]
-        try:
-            out[key] = (raw.strip().lower() in ("1", "true", "yes", "on") if kind is bool
-                        else kind(raw))
-        except ValueError:
+        kind = _KINDS[schema[key].type]
+        try:  # a stray % is an interpolation error
+            raw = parser.get(section, key)
+            out[key] = parser.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError, configparser.Error):
+            raw = parser.get(section, key, raw=True)
             raise ConfigError(section, key, f"cannot parse {raw!r} as {kind.__name__}")
-    for key in required:
-        if key not in out:
+    for key, f in schema.items():
+        if f.default is MISSING and key not in out:
             raise ConfigError(section, key, "required field is missing")
     return out
 
@@ -209,29 +212,28 @@ def parse_config_text(text, source="<string>"):
         raise ConfigError("-", "-", f"syntax error: {exc}")
     if parser.defaults():  # its keys would be read as every section's own
         raise ConfigError(parser.default_section, "-", "unknown section")
-    if not parser.has_section("config"):
-        raise ConfigError("config", "-", "missing [config] section")
-    head = _fields(parser, "config", {"config_version": int, "scenario": str},
-                   required=("config_version", "scenario"))
-    version, scenario = head["config_version"], head["scenario"]
-    if version != CONFIG_VERSION:
+    head = _Header(**_fields(parser, "config", _Header))
+    if head.config_version != CONFIG_VERSION:
         raise ConfigError("config", "config_version",
-                          f"unsupported version {version} (expected {CONFIG_VERSION})")
-    if scenario not in SCENARIOS:
+                          f"unsupported version {head.config_version} (expected {CONFIG_VERSION})")
+    if head.scenario not in SCENARIOS:
         raise ConfigError("config", "scenario",
-                          f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
+                          f"unknown scenario {head.scenario!r}, expected one of {SCENARIOS}")
 
     links = []
     i = 1
     while parser.has_section(f"link.{i}"):
         sec = f"link.{i}"
-        kwargs = _fields(parser, sec, {**dict.fromkeys(_LINK_FLOAT_KEYS, float),
-                                       "misaligned": bool, "turbulence": str})
-        preset = kwargs.pop("turbulence", None)
+        preset = parser.get(sec, "turbulence", raw=True, fallback=None)
+        parser.remove_option(sec, "turbulence")  # the one link key that is not a field
+        kwargs = _fields(parser, sec, LinkConfig)
         if preset is not None:
             if preset not in TURBULENCE_PRESETS:
                 raise ConfigError(sec, "turbulence",
                                   f"unknown preset {preset!r}")
+            if "alpha" in kwargs or "beta" in kwargs:
+                raise ConfigError(sec, "turbulence",
+                                  "a preset sets alpha/beta; give one or the other")
             gg = TURBULENCE_PRESETS[preset]
             kwargs["alpha"], kwargs["beta"] = gg.alpha, gg.beta
         links.append(LinkConfig(**kwargs))
@@ -243,11 +245,7 @@ def parse_config_text(text, source="<string>"):
         if sec not in read:
             raise ConfigError(sec, "-", "unknown section")
 
-    if not parser.has_section("sweep"):
-        raise ConfigError("sweep", "-", "missing [sweep] section")
-    kinds = {"variable": str, "start": float, "stop": float, "points": int, "scale": str}
-    sweep = SweepConfig(**{"scale": "linear", **_fields(
-        parser, "sweep", kinds, required=("variable", "start", "stop", "points"))})
+    sweep = SweepConfig(**_fields(parser, "sweep", SweepConfig))
     if sweep.scale not in ("linear", "log", "db"):
         raise ConfigError("sweep", "scale", f"unknown scale {sweep.scale!r}")
     if sweep.points < 1:
@@ -256,13 +254,13 @@ def parse_config_text(text, source="<string>"):
         raise ConfigError("sweep", "stop", "grid must be strictly increasing")
 
     cfg = ScenarioConfig(
-        scenario=scenario,
+        scenario=head.scenario,
         links=tuple(links),
-        atmosphere=AtmosphereConfig(**_fields(parser, "atmosphere", _ATM_KEYS)),
-        transceiver=TransceiverConfig(**_fields(parser, "transceiver", _TRX_KEYS)),
+        atmosphere=AtmosphereConfig(**_fields(parser, "atmosphere", AtmosphereConfig)),
+        transceiver=TransceiverConfig(**_fields(parser, "transceiver", TransceiverConfig)),
         sweep=sweep,
     )
-    _validate_sweep_variable(cfg)
+    _sweep_target(cfg)
     return cfg
 
 
@@ -284,77 +282,59 @@ def _fmt(v):
 
 
 def write_config(cfg: ScenarioConfig):
-    """Serialize a ScenarioConfig to INI text (round-trips via parse)."""
-    out = io.StringIO()
-    out.write("[config]\n")
-    out.write(f"config_version = {CONFIG_VERSION}\n")
-    out.write(f"scenario = {cfg.scenario}\n\n")
-    out.write("[sweep]\n")
-    for key in ("variable", "start", "stop", "points", "scale"):
-        out.write(f"{key} = {_fmt(getattr(cfg.sweep, key))}\n")
-    out.write("\n[transceiver]\n")
-    defaults = TransceiverConfig()
-    for key in _TRX_KEYS:
-        val = getattr(cfg.transceiver, key)
-        if val is not None and val != getattr(defaults, key):
-            out.write(f"{key} = {_fmt(val)}\n")
-    out.write("\n[atmosphere]\n")
-    atm_defaults = AtmosphereConfig()
-    for key in _ATM_KEYS:
-        val = getattr(cfg.atmosphere, key)
-        if val is not None and val != getattr(atm_defaults, key):
-            out.write(f"{key} = {_fmt(val)}\n")
-    for i, link in enumerate(cfg.links, start=1):
-        out.write(f"\n[link.{i}]\n")
-        for key in _LINK_FLOAT_KEYS:
-            val = getattr(link, key)
-            if val is not None and not (key == "omega" and val == 1.0):
-                out.write(f"{key} = {_fmt(val)}\n")
-        if link.misaligned:
-            out.write("misaligned = true\n")
-    return out.getvalue()
+    """Serialize a ScenarioConfig to INI text (round-trips via parse).
+
+    [config] and [sweep] are written in full, every other section only
+    with the fields that differ from their defaults."""
+    sections = [("config", _Header(CONFIG_VERSION, cfg.scenario)), ("sweep", cfg.sweep),
+                ("transceiver", cfg.transceiver), ("atmosphere", cfg.atmosphere),
+                *((f"link.{i}", link) for i, link in enumerate(cfg.links, start=1))]
+    return "\n".join(
+        f"[{name}]\n" + "".join(
+            f"{f.name} = {_fmt(getattr(part, f.name))}\n" for f in fields(part)
+            if part is cfg.sweep or getattr(part, f.name) != f.default)
+        for name, part in sections)
 
 
-def _validate_sweep_variable(cfg: ScenarioConfig):
+# sweep variable -> (section of the config, field) that it sets
+_SWEEP_FIELDS = {
+    "snr_db": ("transceiver", "snr_ratio_db"),
+    "gamma_th_db": ("transceiver", "gamma_th_db"),
+    "kappa_t": ("transceiver", "kappa_t"),
+    "kappa_r": ("transceiver", "kappa_r"),
+    "frequency": ("atmosphere", "frequency"),
+}
+
+
+def _sweep_target(cfg: ScenarioConfig):
+    """What the sweep variable sets: (section, field) from `_SWEEP_FIELDS`,
+    or (link indices, field) for `jitter` (every misaligned link),
+    `jitter_k` and `distance_k` (link k).  A variable that names nothing
+    raises ConfigError."""
     var = cfg.sweep.variable
-    simple = {"snr_db", "gamma_th_db", "kappa_t", "kappa_r", "frequency", "jitter"}
-    if var in simple:
-        return
-    for stem in ("jitter", "distance"):
-        if var.startswith(stem + "_"):
-            try:
-                idx = int(var[len(stem) + 1:])
-            except ValueError:
-                raise ConfigError("sweep", "variable", f"malformed index in {var!r}")
-            if not 1 <= idx <= len(cfg.links):
-                raise ConfigError("sweep", "variable",
-                                  f"{var!r} exceeds the {len(cfg.links)} configured links")
-            return
-    raise ConfigError("sweep", "variable", f"unknown sweep variable {var!r}")
+    if var in _SWEEP_FIELDS:
+        return _SWEEP_FIELDS[var]
+    if var == "jitter":
+        return tuple(i for i, l in enumerate(cfg.links) if l.misaligned), "jitter"
+    stem, sep, idx = var.partition("_")
+    if stem not in ("jitter", "distance") or not sep:
+        raise ConfigError("sweep", "variable", f"unknown sweep variable {var!r}")
+    try:
+        k = int(idx)
+    except ValueError:
+        raise ConfigError("sweep", "variable", f"malformed index in {var!r}") from None
+    if not 1 <= k <= len(cfg.links):
+        raise ConfigError("sweep", "variable",
+                          f"{var!r} exceeds the {len(cfg.links)} configured links")
+    return (k - 1,), stem
 
 
 def _apply_sweep(cfg: ScenarioConfig, value):
-    var = cfg.sweep.variable
-    if var == "snr_db":
-        return replace(cfg, transceiver=replace(cfg.transceiver, snr_ratio_db=value))
-    if var == "gamma_th_db":
-        return replace(cfg, transceiver=replace(cfg.transceiver, gamma_th_db=value))
-    if var == "kappa_t":
-        return replace(cfg, transceiver=replace(cfg.transceiver, kappa_t=value))
-    if var == "kappa_r":
-        return replace(cfg, transceiver=replace(cfg.transceiver, kappa_r=value))
-    if var == "frequency":
-        return replace(cfg, atmosphere=replace(cfg.atmosphere, frequency=value))
-    if var == "jitter":
-        links = tuple(
-            replace(l, jitter=value) if l.misaligned else l for l in cfg.links
-        )
-        return replace(cfg, links=links)
-    stem, _, idx = var.rpartition("_")
-    i = int(idx) - 1
-    links = list(cfg.links)
-    links[i] = replace(links[i], **{stem: value})
-    return replace(cfg, links=tuple(links))
+    where, key = _sweep_target(cfg)
+    if isinstance(where, str):
+        return replace(cfg, **{where: replace(getattr(cfg, where), **{key: value})})
+    return replace(cfg, links=tuple(replace(l, **{key: value}) if i in where else l
+                                    for i, l in enumerate(cfg.links)))
 
 
 def _pointing(link: LinkConfig, section):
@@ -383,7 +363,7 @@ def build_product(cfg: ScenarioConfig) -> CompositeProduct:
                 if cfg.atmosphere.frequency is None:
                     raise ConfigError("atmosphere", "frequency",
                                       "THz links need a carrier frequency")
-                lam = 299792458.0 / cfg.atmosphere.frequency
+                lam = SPEED_OF_LIGHT / cfg.atmosphere.frequency
                 cn2 = cfg.atmosphere.cn2
                 if cn2 is None:
                     raise ConfigError("atmosphere", "cn2", "required for THz links")

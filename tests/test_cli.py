@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,12 @@ import pytest
 from cascade_fading import cli, distributions, mc, performance
 from cascade_fading.cli import (
     CSV_HEADER,
+    AtmosphereConfig,
     ConfigError,
+    LinkConfig,
     ScenarioConfig,
+    SweepConfig,
+    TransceiverConfig,
     _fig_recipes,
     build_product,
     evaluate,
@@ -145,6 +149,8 @@ class TestConfigParsing:
         ("stop = 40", "stop = 10"),
         ("config_version = 1", "config_version = 99"),
         ("alpha = 4.942", "alpha = not_a_number"),
+        ("alpha = 4.942", "alpha = 4.942%"),  # configparser's interpolation syntax
+        ("turbulence = weak", "turbulence = weak%"),
     ])
     def test_invalid_configs_rejected(self, mutation, field):
         with pytest.raises(ConfigError):
@@ -153,6 +159,96 @@ class TestConfigParsing:
     def test_missing_sections_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[config]\nconfig_version = 1\nscenario = fso_cascade\n")
+
+    # each part of a config by the dataclass that states its grammar
+    PARTS = {SweepConfig: "sweep", TransceiverConfig: "transceiver",
+             AtmosphereConfig: "atmosphere", LinkConfig: "links"}
+
+    @pytest.mark.parametrize("cls,key", [(cls, f.name) for cls in PARTS
+                                         for f in fields(cls)])
+    def test_every_field_round_trips(self, cls, key):
+        # a field that the writer drops comes back as its default
+        cfg = parse_config_text(MINIMAL)
+        part = cfg.links[1] if cls is LinkConfig else getattr(cfg, self.PARTS[cls])
+        old = getattr(part, key)
+        if isinstance(old, str):
+            new = {"variable": "kappa_t", "scale": "log"}[key]
+        elif isinstance(old, bool):
+            new = not old
+        else:
+            new = 0.375 if old is None else old + 2
+        if key in ("rho", "alpha_weather_db_km"):  # refused away from the default
+            with pytest.raises(ConfigError):
+                replace(part, **{key: new})
+            return
+        part = replace(part, **{key: new})
+        cfg = (replace(cfg, links=(cfg.links[0], part)) if cls is LinkConfig
+               else replace(cfg, **{self.PARTS[cls]: part}))
+        assert getattr(part, key) != getattr(cls, key, None)
+        assert parse_config_text(write_config(cfg)) == cfg
+
+    def test_sweep_scale_defaults_to_linear(self):
+        cfg = parse_config_text(MINIMAL.replace("scale = db\n", ""))
+        assert cfg.sweep.scale == "linear"
+
+    @pytest.mark.parametrize("value", ["1", "yes", "True", "ON"])
+    def test_bool_spellings(self, value):
+        text = MINIMAL.replace("beta = 1.231", f"beta = 1.231\nmisaligned = {value}\n"
+                               "aperture = 0.05\nbeam_waist = 0.1\njitter = 0.01")
+        assert build_product(parse_config_text(text)).l == 1
+        off = parse_config_text(text.replace(f"misaligned = {value}", "misaligned = off"))
+        assert build_product(off).l == 0
+
+    @pytest.mark.parametrize("value", ["treu", "y", "2", "enabled"])
+    def test_bool_typo_exits_2(self, value, tmp_path, capsys):
+        # a typo used to read as false and drop the link's pointing error
+        path = tmp_path / "typo.cfg"
+        path.write_text(MINIMAL.replace("beta = 1.231", f"beta = 1.231\nmisaligned = {value}"))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "[link.2] misaligned: cannot parse" in err
+
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_preset_with_shape_rejected(self, key):
+        # the preset used to override the explicit shape silently
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(MINIMAL.replace("turbulence = weak",
+                                              f"turbulence = weak\n{key} = 3.0"))
+        assert (info.value.section, info.value.key) == ("link.1", "turbulence")
+
+    SWEEP_SETS = {
+        "snr_db": {("transceiver", "snr_ratio_db")},
+        "gamma_th_db": {("transceiver", "gamma_th_db")},
+        "kappa_t": {("transceiver", "kappa_t")},
+        "kappa_r": {("transceiver", "kappa_r")},
+        "frequency": {("atmosphere", "frequency")},
+        "jitter": {("link.1", "jitter")},  # the misaligned links only
+        "jitter_1": {("link.1", "jitter")},
+        "distance_2": {("link.2", "distance")},
+    }
+
+    @pytest.mark.parametrize("var", [*SWEEP_SETS, "jitter_x", "jitter_", "jitter_0",
+                                     "jitter_3", "distance_3", "beam_waist"])
+    def test_sweep_variable(self, var, tmp_path, capsys):
+        text = MINIMAL.replace("variable = snr_db", f"variable = {var}").replace(
+            "turbulence = weak", "turbulence = weak\nmisaligned = true\nxi = 6.7\na_o = 0.8")
+        if var not in self.SWEEP_SETS:  # two links, and no such field
+            path = tmp_path / "sweep.cfg"
+            path.write_text(text)
+            assert main(["run", str(path)]) == 2
+            assert "[sweep] variable:" in capsys.readouterr().err
+            return
+
+        def flat(cfg):
+            parts = [("transceiver", cfg.transceiver), ("atmosphere", cfg.atmosphere),
+                     *((f"link.{i}", l) for i, l in enumerate(cfg.links, start=1))]
+            return {(name, f.name): getattr(part, f.name)
+                    for name, part in parts for f in fields(part)}
+
+        cfg = parse_config_text(text)
+        before, after = flat(cfg), flat(cli._apply_sweep(cfg, 0.0123))
+        assert {k for k in before if before[k] != after[k]} == self.SWEEP_SETS[var]
+        assert all(after[k] == 0.0123 for k in self.SWEEP_SETS[var])
 
     def test_geometry_entry(self):
         text = MINIMAL.replace(
@@ -193,18 +289,15 @@ class TestRun:
         ana, mc, stderr = float(row[1]), float(row[2]), float(row[3])
         assert abs(ana - mc) < 5 * max(stderr, 1e-6)
 
-    def test_thread_cap_reproducible(self):
+    def test_thread_cap_reproducible(self, monkeypatch):
+        # three Monte Carlo chunks, drawn on one thread or on three
         cfg = parse_config_text(MINIMAL)
-        serial, _ = run(cfg, mode="analytic")
-        serial_mc, _ = run(cfg, mode="mc", samples=20000)
-        os.environ["CASCADE_FADING_THREADS"] = "4"
-        try:
-            parallel, _ = run(cfg, mode="analytic")
-            parallel_mc, _ = run(cfg, mode="mc", samples=20000)
-        finally:
-            del os.environ["CASCADE_FADING_THREADS"]
-        assert serial == parallel
-        assert serial_mc == parallel_mc
+        csvs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(mc, "_usable_cpus", lambda cpus=cpus: cpus)
+            csvs.append((run(cfg, mode="analytic")[0],
+                         run(cfg, mode="mc", samples=2 * mc._CHUNK + 7)[0]))
+        assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize("mode", ["mc", "both"])
     @pytest.mark.parametrize("name", ["fig4_weak_n3", "fig7_weak", "fig13_worst"])
