@@ -252,6 +252,8 @@ def parse_config_text(text, source="<string>"):
         raise ConfigError("sweep", "points", "need at least one point")
     if sweep.points > 1 and not sweep.stop > sweep.start:
         raise ConfigError("sweep", "stop", "grid must be strictly increasing")
+    if sweep.scale == "log" and not sweep.start > 0.0:
+        raise ConfigError("sweep", "start", "a log sweep needs start > 0")
 
     cfg = ScenarioConfig(
         scenario=head.scenario,
@@ -308,25 +310,45 @@ _SWEEP_FIELDS = {
 
 def _sweep_target(cfg: ScenarioConfig):
     """What the sweep variable sets: (section, field) from `_SWEEP_FIELDS`,
-    or (link indices, field) for `jitter` (every misaligned link),
-    `jitter_k` and `distance_k` (link k).  A variable that names nothing
-    raises ConfigError."""
+    or (link indices, field) for `jitter` (every link misaligned by
+    geometry), `jitter_k` and `distance_k` (link k).  A variable that names
+    nothing, or a field that this config's outage does not read (a sweep
+    whose every point would be the same), raises ConfigError.
+
+    Only thz_cascade reads kappa_t, kappa_r, gamma_th_db and the frequency,
+    which it reads on links given by their geometry and for an SNR from the
+    link budget.  A link's jitter is read where it is misaligned by geometry
+    (no xi/a_o), and its distance where it has no alpha/beta or the budget
+    reads it."""
     var = cfg.sweep.variable
+    thz = cfg.scenario == "thz_cascade"
+    budget = thz and cfg.transceiver.snr_ratio_db is None
+    geometry = [l.alpha is None or l.beta is None for l in cfg.links]
+    jittered = [l.misaligned and l.xi is None and l.a_o is None for l in cfg.links]
     if var in _SWEEP_FIELDS:
-        return _SWEEP_FIELDS[var]
-    if var == "jitter":
-        return tuple(i for i, l in enumerate(cfg.links) if l.misaligned), "jitter"
-    stem, sep, idx = var.partition("_")
-    if stem not in ("jitter", "distance") or not sep:
-        raise ConfigError("sweep", "variable", f"unknown sweep variable {var!r}")
-    try:
-        k = int(idx)
-    except ValueError:
-        raise ConfigError("sweep", "variable", f"malformed index in {var!r}") from None
-    if not 1 <= k <= len(cfg.links):
+        target = _SWEEP_FIELDS[var]
+        read = var == "snr_db" or (thz and (var != "frequency" or budget or any(geometry)))
+    elif var == "jitter":
+        target = tuple(i for i, j in enumerate(jittered) if j), "jitter"
+        read = bool(target[0])
+    else:
+        stem, sep, idx = var.partition("_")
+        if stem not in ("jitter", "distance") or not sep:
+            raise ConfigError("sweep", "variable", f"unknown sweep variable {var!r}")
+        try:
+            k = int(idx)
+        except ValueError:
+            raise ConfigError("sweep", "variable", f"malformed index in {var!r}") from None
+        if not 1 <= k <= len(cfg.links):
+            raise ConfigError("sweep", "variable",
+                              f"{var!r} exceeds the {len(cfg.links)} configured links")
+        target = (k - 1,), stem
+        read = jittered[k - 1] if stem == "jitter" else geometry[k - 1] or budget
+    if not read:
         raise ConfigError("sweep", "variable",
-                          f"{var!r} exceeds the {len(cfg.links)} configured links")
-    return (k - 1,), stem
+                          f"this {cfg.scenario} config does not read {var!r}, "
+                          "so every point would be the same")
+    return target
 
 
 def _apply_sweep(cfg: ScenarioConfig, value):

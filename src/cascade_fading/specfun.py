@@ -29,8 +29,9 @@ falls up it, and the sum on twice the step, taken from the same nodes,
 gives the error estimate.  The saddle search runs on Python floats, with
 the C library's lnGamma and the digamma and trigamma written here (`_psi`),
 from a start the kernel gives (for Z the saddle of its lognormal model) to
-its first Newton step below 1e-3.  Complex lnGamma is Lanczos's form
-(`_lngamma_at` at a point, `_lngamma_parts` on arrays).  Numpy holds only
+its first Newton step below 1e-3.  Complex lnGamma is Lanczos's form on
+the node arrays (`_lngamma_parts`); the two points above the line that
+size its step take Stirling's series (`_lngamma_up`).  Numpy holds only
 the node arrays and their sums; the rest of a call runs on Python floats
 and complex numbers, where numpy's per-call cost would dominate at these
 sizes.
@@ -406,38 +407,30 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
 
-def _lngamma_at(z):
-    """Principal lnGamma at the Python complex z, the branch of scipy's
-    loggamma (Hare, J. Algorithms 25, 1997): continuous off the negative
-    real axis.
+def _lngamma_up(z):
+    """Principal lnGamma at the Python complex z, Im z > 0, continuous in
+    z and within 5e-8 + 1e-15 |lnGamma(z)| down to Im z = 1e-3.
 
-    For Re z >= 1/2 it is Lanczos's form, each log on its principal
-    branch.  Between 0 and 1/2 the log of the Lanczos sum would leave it, so
-    lnGamma(z) = lnGamma(z + 1) - ln z.  Below, by reflection (DLMF 5.5.3),
-    lnGamma(z) = ln pi - ln sin(pi z) - lnGamma(1 - z) + 2 pi i floor(Re z /
-    2 + 1/4) sign(Im z), with sin(pi z) taken from Re z less its nearest
-    integer and scaled by e^(-pi |Im z|), so that it keeps its digits near
-    the poles and cannot overflow.  A pole raises ValueError.
+    For Re z >= 0 it is Stirling's series to z^-5 (DLMF 5.11.1), after the
+    recurrence lnGamma(z) = lnGamma(z + 1) - ln z has shifted z out to |z|
+    >= 4, where the first term left out is below 4e-8.  Below it reflects
+    (DLMF 5.5.3), lnGamma(z) = ln pi - ln sin(pi z) - lnGamma(1 - z), with
+    ln sin(pi z) = -i pi z - ln 2 + i pi / 2 + ln(1 - e^(2 pi i z)), which
+    is analytic on the upper half-plane (e^(2 pi i z) taken from Re z less
+    its nearest integer), and lnGamma(1 - z) = conj lnGamma(1 - conj z).
     """
-    x = z.real
-    if x >= 0.5:
-        p0, p1, p2, p3, p4, p5, p6, p7, p8 = _LANCZOS
-        a = (p0 + p1 / z + p2 / (z + 1.0) + p3 / (z + 2.0) + p4 / (z + 3.0)
-             + p5 / (z + 4.0) + p6 / (z + 5.0) + p7 / (z + 6.0) + p8 / (z + 7.0))
-        t = z + 6.5
-        return (z - 0.5) * cmath.log(t) - t + _HALF_LOG_2PI + cmath.log(a)
-    if x >= 0.0:
-        return _lngamma_at(z + 1.0) - cmath.log(z)
-    v = z.imag
-    n = round(x)
-    r = math.pi * (x - n)
-    av = math.pi * abs(v)
-    sign = -1.0 if n % 2 else 1.0  # and cos(r) >= 0
-    re = sign * math.sin(r) * (0.5 + 0.5 * math.exp(-2.0 * av))
-    im = sign * math.cos(r) * math.copysign(-0.5 * math.expm1(-2.0 * av), v)
-    arg = math.copysign(2.0 * math.pi, v) * math.floor(0.5 * x + 0.25)
-    return (complex(_LOG_PI - av - math.log(math.hypot(re, im)), arg - math.atan2(im, re))
-            - _lngamma_at(1.0 - z))
+    if z.real < 0.0:
+        e = cmath.exp(2j * math.pi * complex(z.real - round(z.real), z.imag))
+        return (2.0 * _HALF_LOG_2PI + 1j * math.pi * (z - 0.5) - cmath.log(1.0 - e)
+                - _lngamma_up(1.0 - z.conjugate()).conjugate())
+    shift = 0.0
+    while abs(z) < 4.0:
+        shift += cmath.log(z)
+        z += 1.0
+    r = 1.0 / z
+    r2 = r * r
+    return ((z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI
+            + r * (1 / 12 - r2 * (1 / 360 - r2 / 1260)) - shift)
 
 
 def _lngamma_parts(zk, reflect):
@@ -446,12 +439,14 @@ def _lngamma_parts(zk, reflect):
     k] = z + k, k = 0..7, of the Lanczos sum: Lanczos's form with its logs
     of the Lanczos sum and of the sine left in the factor m, which stays of
     modest size away from the poles (near 1 for large |z|), so that a
-    product of m over many rows keeps its digits and needs one log.  The term linear in z is left
-    to the caller, who sums it over rows in closed form.  Below Re z = 1/2
-    the log of the Lanczos sum leaves the principal branch, which modulo 2 pi
-    i does not matter, and its value keeps its digits down to Re z = 0; only
-    where `reflect` is true may z have elements with Re z < 0, which reflect
-    as in `_lngamma_at`."""
+    product of m over many rows keeps its digits and needs one log.  The
+    term linear in z is left to the caller, who sums it over rows in closed
+    form.  Below Re z = 1/2 the log of the Lanczos sum leaves the principal
+    branch, which modulo 2 pi i does not matter, and its value keeps its
+    digits down to Re z = 0; only where `reflect` is true may z have
+    elements with Re z < 0, which reflect (DLMF 5.5.3), with sin(pi z) taken
+    from Re z less its nearest integer and scaled by e^(-pi |Im z|), so that
+    it keeps its digits near the poles and cannot overflow."""
     z = zk[..., 0]
     if reflect:
         refl = z.real < 0.0
@@ -486,15 +481,15 @@ class _GammaKernel:
     pair times its net power.  Everything that does not depend on s or ln x
     is built here, once per kernel.
 
-    K has two complex forms, both on the Lanczos lnGamma.  `log_moment`
-    takes it at one point on Python complex numbers, every log on its
-    principal branch, so that its imaginary part is continuous along a path
-    off the cuts.  `log_fused` takes it on an array: the factors whose logs
-    the principal form adds up (the rows' Lanczos sums and shifts, the
-    pointing rows and a caller's factor) are multiplied into one array, of
-    which it takes one log, right modulo 2 pi i, which is all a sum of
-    exponentials needs; the terms linear in s of all rows are summed once,
-    here."""
+    K has two complex forms.  `log_fused` takes it on an array, on the
+    Lanczos lnGamma: the factors whose logs a sum of lnGamma values would
+    add up (the rows' Lanczos sums, the pointing rows and a caller's factor)
+    are multiplied into one array, of which it takes one log, right modulo
+    2 pi i, which is all a sum of exponentials needs; the terms linear in s
+    of all rows are summed once, here.  `log_probe` takes it at one point
+    above the real axis on Python complex numbers, on `_lngamma_up`,
+    continuous along a horizontal segment and accurate to about 1e-7, which
+    is all the rates that _mb_integral reads off two such points need."""
 
     def __init__(self, rows, xis=(), log_scale=0.0):
         power = {}  # net power per (base, sign)
@@ -532,13 +527,16 @@ class _GammaKernel:
         self.safe_lo = -min((b for b, _ in self.plus), default=-math.inf)
         self.safe_hi = min((b for b, _ in self.minus), default=math.inf)
 
-    def log_moment(self, s):
-        """log K at the Python complex s, every log on its principal branch."""
+    def log_probe(self, s):
+        """log K at the Python complex s, Im s > 0, every log on its
+        principal branch: lnGamma(b - s) of a minus row is the conjugate of
+        lnGamma(b - conj s)."""
         v = s * self.log_scale + self.log_norm
         for b, k in self.plus:
-            v += k * _lngamma_at(b + s)
+            v += k * _lngamma_up(b + s)
+        t = s.conjugate()
         for b, k in self.minus:
-            v += k * _lngamma_at(b - s)
+            v += k * _lngamma_up(b - t).conjugate()
         for xi in self.pointing:
             v -= cmath.log(xi + s)
         return v
@@ -667,12 +665,13 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     exponentiated, so a value it brings back from below the smallest double
     keeps its digits.
 
-    The _GammaKernel gives log M at a complex point on its principal branch
-    (`log_moment`) and on a complex array modulo 2 pi i (`log_fused`), the
-    real slice log(x^-c M(c) / |c|^pole) and its first two derivatives in c
-    on floats (`log_size`, `slopes`), the poles next to the strip (`poles`), the
-    rate at which |M(c + it)| falls in |t| far up the line (`decay`), and
-    where in the strip the saddle search starts (`start`, from c).  Where
+    The _GammaKernel gives log M at a complex point above the real axis on
+    its principal branch (`log_probe`, to about 1e-7) and on a complex array
+    modulo 2 pi i (`log_fused`), the real slice log(x^-c M(c) / |c|^pole)
+    and its first two derivatives in c on floats (`log_size`, `slopes`), the
+    poles next to the strip (`poles`), the rate at which |M(c + it)| falls
+    in |t| far up the line (`decay`), and where in the strip the saddle
+    search starts (`start`, from c).  Where
     the search meets a pole of the real slice, or no minimum, the call
     refuses.  Every quantity depends on (kernel, lx) alone, so scalar and
     array callers agree bit for bit.  Where the peak on
@@ -689,7 +688,7 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     budget).  The region opens with height: at Im s = T its edge lies
     sqrt(a^2 + T^2 tan^2 eta) off the line, where x^-s M(s) grows at the
     rate d/dc log|integrand| and falls at the rate -d/dt log|integrand|.  Both
-    are read off one complex difference of log_moment across the strip at
+    are read off one complex difference of log_probe across the strip at
     the height where `decay` has spent the error budget, and tan eta is
     _MB_ANGLE times their ratio, at most _MB_ANGLE (beyond eta = pi/4 a
     Gaussian peak grows along the edge).
@@ -734,8 +733,8 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     s2, s3 = complex(c - a, top), complex(c + a, top)
     try:
         e0, e1 = kern.log_size(c - a, lx, pole), kern.log_size(c + a, lx, pole)
-        v2 = kern.log_moment(s2) - s2 * lx
-        v3 = kern.log_moment(s3) - s3 * lx
+        v2 = kern.log_probe(s2) - s2 * lx
+        v3 = kern.log_probe(s3) - s3 * lx
         if pole:
             v2, v3 = v2 - cmath.log(s2), v3 - cmath.log(s3)
     except (ZeroDivisionError, ValueError) as exc:

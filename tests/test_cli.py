@@ -55,6 +55,41 @@ alpha = 4.942
 beta = 1.231
 """
 
+# a thz_cascade config that reads every sweep variable: link 1 given by its
+# geometry and misaligned by it, link 2 by alpha/beta, the SNR from the link
+# budget (which reads every link's distance)
+THZ_GEOMETRY = """
+[config]
+config_version = 1
+scenario = thz_cascade
+
+[sweep]
+variable = snr_db
+start = 1
+stop = 10
+points = 2
+
+[transceiver]
+power_dbw = 0.0
+bandwidth = 5e10
+
+[atmosphere]
+cn2 = 1e-14
+frequency = 3e11
+
+[link.1]
+distance = 100.0
+aperture = 0.05
+beam_waist = 0.1
+jitter = 0.01
+misaligned = true
+
+[link.2]
+alpha = 4.942
+beta = 1.231
+distance = 50.0
+"""
+
 
 def _per_point_csv(cfg, mode, seed, samples):
     """The CSV of an snr_db sweep over a fixed channel, built from one
@@ -151,6 +186,9 @@ class TestConfigParsing:
         ("alpha = 4.942", "alpha = not_a_number"),
         ("alpha = 4.942", "alpha = 4.942%"),  # configparser's interpolation syntax
         ("turbulence = weak", "turbulence = weak%"),
+        # a log grid from a non-positive start has no points
+        ("20\nstop = 40\npoints = 5\nscale = db", "0.0\nstop = 40\npoints = 5\nscale = log"),
+        ("20\nstop = 40\npoints = 5\nscale = db", "-5.0\nstop = 40\npoints = 5\nscale = log"),
     ])
     def test_invalid_configs_rejected(self, mutation, field):
         with pytest.raises(ConfigError):
@@ -167,8 +205,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("cls,key", [(cls, f.name) for cls in PARTS
                                          for f in fields(cls)])
     def test_every_field_round_trips(self, cls, key):
-        # a field that the writer drops comes back as its default
-        cfg = parse_config_text(MINIMAL)
+        # a field that the writer drops comes back as its default; on a
+        # config that reads every sweep variable, so that kappa_t is one
+        cfg = parse_config_text(THZ_GEOMETRY)
         part = cfg.links[1] if cls is LinkConfig else getattr(cfg, self.PARTS[cls])
         old = getattr(part, key)
         if isinstance(old, str):
@@ -222,7 +261,7 @@ class TestConfigParsing:
         "kappa_t": {("transceiver", "kappa_t")},
         "kappa_r": {("transceiver", "kappa_r")},
         "frequency": {("atmosphere", "frequency")},
-        "jitter": {("link.1", "jitter")},  # the misaligned links only
+        "jitter": {("link.1", "jitter")},  # the links misaligned by geometry
         "jitter_1": {("link.1", "jitter")},
         "distance_2": {("link.2", "distance")},
     }
@@ -230,11 +269,11 @@ class TestConfigParsing:
     @pytest.mark.parametrize("var", [*SWEEP_SETS, "jitter_x", "jitter_", "jitter_0",
                                      "jitter_3", "distance_3", "beam_waist"])
     def test_sweep_variable(self, var, tmp_path, capsys):
-        text = MINIMAL.replace("variable = snr_db", f"variable = {var}").replace(
-            "turbulence = weak", "turbulence = weak\nmisaligned = true\nxi = 6.7\na_o = 0.8")
         if var not in self.SWEEP_SETS:  # two links, and no such field
             path = tmp_path / "sweep.cfg"
-            path.write_text(text)
+            path.write_text(MINIMAL.replace("variable = snr_db", f"variable = {var}").replace(
+                "turbulence = weak",
+                "turbulence = weak\nmisaligned = true\nxi = 6.7\na_o = 0.8"))
             assert main(["run", str(path)]) == 2
             assert "[sweep] variable:" in capsys.readouterr().err
             return
@@ -245,10 +284,39 @@ class TestConfigParsing:
             return {(name, f.name): getattr(part, f.name)
                     for name, part in parts for f in fields(part)}
 
-        cfg = parse_config_text(text)
+        cfg = parse_config_text(THZ_GEOMETRY.replace("variable = snr_db", f"variable = {var}"))
         before, after = flat(cfg), flat(cli._apply_sweep(cfg, 0.0123))
         assert {k for k in before if before[k] != after[k]} == self.SWEEP_SETS[var]
         assert all(after[k] == 0.0123 for k in self.SWEEP_SETS[var])
+
+    @pytest.mark.parametrize("var", ["jitter_1", "jitter", "distance_2", "frequency",
+                                     "kappa_t", "gamma_th_db"])
+    def test_unread_sweep_variable_exits_2(self, var, tmp_path, capsys):
+        # on two alpha/beta links, neither misaligned, in fso_cascade, each
+        # of these used to run and print the same outage at every point
+        path = tmp_path / "sweep.cfg"
+        path.write_text(MINIMAL.replace("variable = snr_db", f"variable = {var}"))
+        assert main(["run", str(path)]) == 2
+        assert "[sweep] variable:" in capsys.readouterr().err
+
+    def test_misaligned_by_xi_reads_no_jitter(self):
+        # xi/a_o stand in for the geometry, so a link's jitter is read only
+        # where the link is misaligned by geometry
+        text = THZ_GEOMETRY.replace("variable = snr_db", "variable = jitter").replace(
+            "beta = 1.231", "beta = 1.231\nmisaligned = true\nxi = 6.7\na_o = 0.8")
+        assert cli._sweep_target(parse_config_text(text)) == ((0,), "jitter")
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text.replace("variable = jitter", "variable = jitter_2"))
+        assert (info.value.section, info.value.key) == ("sweep", "variable")
+
+    @pytest.mark.parametrize("start", ["0.0", "-5.0"])
+    def test_log_sweep_from_non_positive_start_exits_2(self, start, tmp_path, capsys):
+        # SweepConfig.grid raised a math domain error, with exit 1
+        path = tmp_path / "log.cfg"
+        path.write_text(MINIMAL.replace("start = 20", f"start = {start}")
+                        .replace("scale = db", "scale = log"))
+        assert main(["run", str(path)]) == 2
+        assert "[sweep] start:" in capsys.readouterr().err
 
     def test_geometry_entry(self):
         text = MINIMAL.replace(

@@ -614,8 +614,8 @@ def _doubling_reference(law, lx, kind):
     """The line integral on the mapped nodes t = w sinh(k h), evaluated in
     chunks of 64, 128, ... nodes and refused once 2^16 nodes have been
     passed: the strip's edge on the real axis from the law's float slice,
-    its two top corners in the principal form of the law, the chunks in its
-    fused form.  Returns (value, error estimate, nodes summed)."""
+    its two top corners in the law's probe form, the chunks in its fused
+    form.  Returns (value, error estimate, nodes summed)."""
     pole = kind != "f"
     sign = -1.0 if kind == "F" else 1.0
     if kind == "F":
@@ -629,7 +629,7 @@ def _doubling_reference(law, lx, kind):
         return sign * (math.copysign(0.0, c) if pole else 0.0), 0.0, 0
 
     def log_integrand(s):
-        logv = law.log_moment(s) - s * lx
+        logv = law.log_probe(s) - s * lx
         return logv - cmath.log(s) if pole else logv
 
     budget = 1.0 - math.log(specfun._MB_TOL)
@@ -684,11 +684,11 @@ SCALAR_CHANNELS = {
 
 class _NodeCount:
     """Counts the nodes passed to either complex form of the Mellin law,
-    _MellinLaw.log_moment and log_fused, while installed."""
+    _MellinLaw.log_probe and log_fused, while installed."""
 
     def __init__(self, monkeypatch):
         self.nodes = 0
-        for name in ("log_moment", "log_fused"):
+        for name in ("log_probe", "log_fused"):
             monkeypatch.setattr(distributions._MellinLaw, name, self._counted(name))
 
     def _counted(self, name):
@@ -1144,10 +1144,10 @@ class TestLawPerChannel:
                   + np.log(prod))
         point = complex(-1.3, 7.0)
         expect_at = (point * law.log_scale + law.log_norm
-                     + sum(specfun._lngamma_at(b + point) for b in law.shapes)
+                     + sum(specfun._lngamma_up(b + point) for b in law.shapes)
                      - sum(cmath.log(xi + point) for xi in law.xis))
         rows, calls = [], []
-        inner_parts, inner_at = specfun._lngamma_parts, specfun._lngamma_at
+        inner_parts, inner_at = specfun._lngamma_parts, specfun._lngamma_up
 
         def parts(zk, reflect):
             rows.append(np.shape(zk)[0])
@@ -1158,9 +1158,9 @@ class TestLawPerChannel:
             return inner_at(z)
 
         monkeypatch.setattr(specfun, "_lngamma_parts", parts)
-        monkeypatch.setattr(specfun, "_lngamma_at", at)
+        monkeypatch.setattr(specfun, "_lngamma_up", at)
         got = law.log_fused(s, lx, factor, -1.3, -1.3)
-        got_at = law.log_moment(point)
+        got_at = law.log_probe(point)
         assert rows == [2] and len(calls) == 2 and law.shapes.size == 6
         assert got.tobytes() == expect.tobytes()
         assert abs(got_at - expect_at) <= 1e-14 * abs(expect_at)

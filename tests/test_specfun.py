@@ -471,11 +471,20 @@ def _mod_2pi_i(d):
     return complex(d.real, math.remainder(d.imag, 2.0 * math.pi))
 
 
+def _log_kernel_mp(kern, v):
+    """(log K(v) with mpmath.loggamma for every row, the summed magnitudes
+    of its lnGamma terms)."""
+    lg = [k * complex(mpmath.loggamma(b + v)) for b, k in kern.plus]
+    lg += [k * complex(mpmath.loggamma(b - v)) for b, k in kern.minus]
+    return (v * kern.log_scale + kern.log_norm + sum(lg)
+            - sum(cmath.log(xi + v) for xi in kern.pointing), sum(map(abs, lg)))
+
+
 class TestLogGamma:
-    """The Lanczos lnGamma behind every Mellin-Barnes integral: its
-    principal form at a point (`_lngamma_at`) and its fused form on arrays
-    (`_lngamma_parts`, exact modulo 2 pi i, unshifted down to Re z = 0),
-    both against mpmath.loggamma within 1e-14 max(1, |lnGamma|)."""
+    """The Lanczos lnGamma behind every Mellin-Barnes integral, in its
+    fused form on arrays (`_lngamma_parts`, exact modulo 2 pi i, unshifted
+    down to Re z = 0), against mpmath.loggamma within 1e-14 max(1,
+    |lnGamma|)."""
 
     @staticmethod
     def _check(zs):
@@ -484,9 +493,7 @@ class TestLogGamma:
         fused = l + np.log(m) - (z + 6.5) + specfun._HALF_LOG_2PI
         for v, f in zip(zs, fused.tolist()):
             ref = complex(mpmath.loggamma(v))
-            tol = 1e-14 * max(1.0, abs(ref))
-            assert abs(specfun._lngamma_at(v) - ref) <= tol, v
-            assert abs(_mod_2pi_i(f - ref)) <= tol, v
+            assert abs(_mod_2pi_i(f - ref)) <= 1e-14 * max(1.0, abs(ref)), v
 
     def test_right_half_plane(self):
         ims = [0.0, *np.geomspace(1e-3, 3000.0, 22)]
@@ -507,24 +514,11 @@ class TestLogGamma:
         self._check([complex(x, y) for x in (-0.55, -3.3, -7.7, -59.45)
                      for y in (1e-300, -1e-300, 1e-12, -1e-12)])
 
-    @pytest.mark.parametrize("top", [0.5, 3.0, 40.0])
-    def test_principal_form_continuous_across_a_strip(self, top):
-        # the probe of _mb_integral reads the fall up a line from the
-        # difference of imaginary parts across the strip; here the strip
-        # passes Re z = -6.3 .. 6.3, where the form switches from the
-        # reflection to the shift and to the plain Lanczos sum
-        xs = np.linspace(-6.3, 6.3, 2521)
-        im = [specfun._lngamma_at(complex(x, top)).imag for x in xs]
-        assert np.max(np.abs(np.diff(im))) <= 0.05
-        for x in (-6.3, 6.3):
-            ref = complex(mpmath.loggamma(complex(x, top)))
-            assert abs(specfun._lngamma_at(complex(x, top)) - ref) <= 1e-14 * abs(ref)
-
     @pytest.mark.parametrize("case", [*ORACLE_CASES, *LAW_CASES])
     def test_fused_form_sums_the_principal_one(self, case):
         # on the lines of every kernel, and for the Mellin laws on a circle
         # around their first pole, where lnGamma reflects: log_fused is
-        # log_moment - s ln x + ln factor modulo 2 pi i
+        # log K - s ln x + ln factor modulo 2 pi i, with mpmath's lnGamma
         kern, lines, lxs = _slice_case(case)
         t = np.linspace(0.0, 40.0, 41)
         paths = [(c + 1j * t, c, c) for c, _ in lines[::4]]
@@ -533,11 +527,65 @@ class TestLogGamma:
             paths.append((mid + 0.7 * np.exp(0.1j * np.arange(63)), mid - 0.7, mid + 0.7))
         for s, lo, hi in paths:
             factor = np.cosh(0.05 * np.arange(s.size)) / s
+            refs = [_log_kernel_mp(kern, v) for v in s.tolist()]
             for lx in lxs:
                 got = kern.log_fused(s, lx, factor, lo, hi)
-                for v, f, g in zip(s.tolist(), factor.tolist(), got.tolist()):
-                    want = kern.log_moment(v) - v * lx + cmath.log(f)
-                    scale = 1.0 + abs(v * lx) + sum(
-                        abs(k * specfun._lngamma_at(b + v)) for b, k in kern.plus) + sum(
-                        abs(k * specfun._lngamma_at(b - v)) for b, k in kern.minus)
+                for v, f, g, (ref, mag) in zip(s.tolist(), factor.tolist(), got.tolist(), refs):
+                    want = ref - v * lx + cmath.log(f)
+                    scale = 1.0 + abs(v * lx) + mag
                     assert abs(_mod_2pi_i(g - want)) <= 1e-14 * scale, (case, v, lx)
+
+
+# the lowest height of the strip's top corners over tools/fingerprint.py
+# (six strong links) and over the shipped recipes (fig8_n3's flattened
+# branch law)
+PROBE_HEIGHTS = (2.14, 4.85)
+
+
+class TestProbeLogGamma:
+    """The lnGamma of the line's probe (`_lngamma_up`, Stirling's series
+    with shift and reflection) on the upper half-plane: within 5e-8 + 1e-15
+    |lnGamma| of mpmath.loggamma, used by conjugation for the minus rows of
+    `log_probe`, and continuous along the horizontal segment across the
+    strip that the probe reads its rates off."""
+
+    BOUND = 5e-8
+
+    def test_against_mpmath(self):
+        # Re z in [-60, 200], on the poles' abscissae and between them; Im z
+        # from 1e-3 through the lowest probe heights to 3000
+        xs = [*np.linspace(-60.0, 200.0, 131), *np.arange(-59.5, 200.0, 3.7)]
+        ims = sorted({1e-3, 0.1, 1.0, *PROBE_HEIGHTS, *np.geomspace(3.0, 3000.0, 12)})
+        for x in xs:
+            for y in ims:
+                z = complex(x, y)
+                ref = complex(mpmath.loggamma(z))
+                assert abs(specfun._lngamma_up(z) - ref) <= self.BOUND + 1e-15 * abs(ref), z
+
+    @pytest.mark.parametrize("case", [*ORACLE_CASES, *LAW_CASES])
+    def test_log_probe_conjugates_minus_rows(self, case):
+        # every row, a minus row by the conjugate of lnGamma(b - conj s),
+        # against the principal lnGamma of mpmath at the strip's top corners
+        kern, lines, _ = _slice_case(case)
+        rows = sum(abs(k) for _, k in kern.plus) + sum(abs(k) for _, k in kern.minus)
+        for c, _ in lines[::4]:
+            for top in (*PROBE_HEIGHTS, 12.0, 40.0):
+                for s in (complex(c - 0.3, top), complex(c + 0.3, top)):
+                    ref, mag = _log_kernel_mp(kern, s)
+                    got = kern.log_probe(s)
+                    assert abs(got - ref) <= rows * self.BOUND + 1e-15 * (mag + 1.0), (case, s)
+
+    @pytest.mark.parametrize("top", [0.5, *PROBE_HEIGHTS, 40.0])
+    def test_continuous_along_horizontal_segments(self, top):
+        # across Re z = -6.3 .. 6.3 the form switches from the reflection to
+        # the shifted series and to the plain one; the probe reads the fall
+        # up a line from a difference of imaginary parts across the strip
+        xs = np.linspace(-6.3, 6.3, 2521)
+        im = [specfun._lngamma_up(complex(x, top)).imag for x in xs]
+        assert np.max(np.abs(np.diff(im))) <= 0.05
+        left, right = (specfun._lngamma_up(complex(x, top)) for x in (-1e-12, 1e-12))
+        assert abs(right - left) <= 2.0 * self.BOUND
+        # and the kernel of a Meijer G with minus rows, across its strip
+        kern = specfun._meijer_kernel(ORACLE_CASES["cdf3124"][0])
+        im = [kern.log_probe(complex(x, top)).imag for x in np.linspace(-1.2, 0.0, 601)]
+        assert np.max(np.abs(np.diff(im))) <= 0.05

@@ -1,8 +1,8 @@
 """Value fingerprint of the analytic layer, and how far two trees differ.
 
 Prints one line per outcome: `z_cdf`, `z_pdf` and the raw F, Q and f line
-integrals (value and error estimate) of 10 channels at 23 x from 5e-324 to
-1e300, and `meijer_g` (value and error estimate) of 7 specs at 12 x; 1234
+integrals (value and error estimate) of 13 channels at 23 x from 5e-324 to
+1e300, and `meijer_g` (value and error estimate) of 7 specs at 12 x; 1579
 outcomes in all.  An outcome is the repr of each float, or the type and
 message of the exception raised.
 
@@ -43,6 +43,15 @@ CHANNELS = {
     "small_shapes": (((0.6, 0.5), (0.7, 0.55)), ()),
     "narrow_pe": (((35.9, 1.056),), ((7.73, 0.677),)),
     "g60_40_cubed": (((60.0, 40.0),) * 3, ()),
+    # large shapes fall far more slowly up the line than N pi: the step must
+    # come from the measured fall rate (README, "Numerical scope")
+    "fall_rate_trap": (((40.0, 50.0),), ((1.2, 0.8),)),
+    # fso_gg_params at Cn2 = 1e-16 over 1 km at 1550 nm, two hops
+    "physical_1e16": (((1025.3062415742763, 984.8015550453262),) * 2, ()),
+    # the flattened branch law of recipe fig8_n3 (three branches of two
+    # misaligned weak hops), where the strip's top corners sit lowest over
+    # the recipes
+    "fig8_n3_flat": ((WEAK,) * 6, ((130.79700001061087, 0.3900061737674387),) * 6),
 }
 MEIJER_XS = (1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.1, 0.7, 1.0, 10.0, 1e4, 1e50, 1e300)
 # (m, n, p, q, a, b)
