@@ -29,8 +29,9 @@ array arguments go through specfun's one pointwise front, as gg_pdf and
 z2_pdf do.
 
 Closing the line of F to the left picks up the residues of -x^-s E[Z^s] / s;
-z_cdf_asymptotic sums those nearest the origin, each by the trapezoidal rule
-on a circle.
+z_cdf_asymptotic takes those nearest the origin as F's line integral less
+that of the same integrand on a line in the pole-free gap past them, by the
+same rule.
 """
 
 from __future__ import annotations
@@ -75,12 +76,9 @@ _GUARD_ABS = 1e-9
 # The log of the largest double: a density beyond it is returned as inf.
 _LOG_MAX = math.log(sys.float_info.max)
 
-# z_cdf_asymptotic: the refusal guard on its error estimate, relative; the
-# agreement of a residue's sums on n and n/2 nodes, relative to the mean term,
-# and the node counts n tried; how far past the first gamma pole to search.
+# z_cdf_asymptotic: the refusal guard on its error estimate, relative; how
+# far past the first gamma pole to search for the poles it keeps.
 _ASYMPTOTE_TOL = 1e-2
-_RESIDUE_TOL = 1e-13
-_RESIDUE_NODES = 64 << np.arange(9)
 _CLUSTER_DEPTH = 32.0
 
 # sample_z draws each factor through a buffer of this many variates, so a
@@ -314,43 +312,18 @@ def z_pdf(ch: CompositeProduct, x):
 
 def _pole_clusters(law: _MellinLaw, rho):
     """Poles of E[Z^s], at -(shape + k) for k >= 0 and at -xi, chained where
-    neighbours lie closer than rho: (the clusters reaching the strip
-    Re s >= -(b_min + 1), the next two).  The search starts past the first
-    gamma poles and deepens until no pole past it can chain into those."""
+    neighbours lie closer than rho: the pole-free strip between the clusters
+    that reach Re s >= -(b_min + 1) and the next one, as (the next one's
+    first pole, their last pole).  The search starts past the first gamma
+    poles and deepens until a cluster follows those."""
     for depth in law.shapes.min() + np.arange(3.0, _CLUSTER_DEPTH, 2.0):
         poles = np.sort(np.concatenate([-(b + np.arange(depth - b)) for b in law.shapes]
                                        + [-law.xis[law.xis < depth]]))[::-1]
         clusters = np.split(poles, np.flatnonzero(poles[:-1] - poles[1:] >= rho) + 1)
-        if clusters[-1][-1] + depth < rho:
-            clusters.pop()  # it may go on past the depth
         kept = sum(c[0] >= -(law.b_min + 1.0) for c in clusters)
-        if len(clusters) >= kept + 2:
-            return clusters[:kept], clusters[kept:kept + 2]
+        if len(clusters) > kept:
+            return float(clusters[kept][0]), float(clusters[kept - 1][-1])
     raise AccuracyError(f"poles of E[Z^s] too dense to part {rho:.3g} apart")
-
-
-def _cluster_residue(law: _MellinLaw, lx, cluster, rho):
-    """Residue of -x^-s E[Z^s] / s at a pole cluster, ln x = lx, by the
-    trapezoidal rule in log space on a circle that clears it by rho / 2, the
-    nodes doubling from 64 until the sum on every other node agrees:
-    (log scale, value, mean term magnitude), the last two in e^(log scale).
-    The previous circle's nodes are the even ones of the next, so a doubling
-    evaluates only the new odd ones."""
-    mid, r = 0.5 * (cluster[0] + cluster[-1]), 0.5 * (cluster[0] - cluster[-1] + rho)
-    logv = None
-    for n in _RESIDUE_NODES:
-        k = np.arange(n) if logv is None else np.arange(1, n, 2)
-        z = r * np.exp(2j * math.pi / n * k)
-        s = mid + z
-        new = law.log_fused(s, lx, z / -s, mid - r, mid + r)
-        logv = new if logv is None else np.column_stack((logv, new)).ravel()
-        top = float(logv.real.max())
-        v = np.exp(logv - top)
-        full, mass = v.mean(), np.abs(v).mean()
-        if abs(full - v[::2].mean()) <= _RESIDUE_TOL * mass:
-            return top, full.real, mass
-    raise AccuracyError(f"residue near s = {cluster[0]:.6g} needs more than "
-                        f"{_RESIDUE_NODES[-1]} nodes (ln x = {lx:.6g})")
 
 
 def _asymptote_at(law: _MellinLaw, x):
@@ -359,29 +332,35 @@ def _asymptote_at(law: _MellinLaw, x):
     if x == math.inf:
         raise AccuracyError("the power-law CDF limit does not hold at x = inf; use z_cdf")
     lx = math.log(x)
-    # x^-s varies by at most e^(+-1) on a circle of radius rho; rho <= b_min
-    # keeps the pole of 1/s at the origin out of every circle.
+    # poles closer than rho act as one multiple pole on the scale of x^-s,
+    # which varies by at most e^(+-1) over rho; rho <= b_min keeps the pole
+    # of 1/s at the origin out of every cluster
     rho = min(1.0 / max(1.0, abs(lx)), law.b_min)
-    kept, omitted = _pole_clusters(law, rho)
-    t, v, m = np.array([_cluster_residue(law, lx, c, rho) for c in kept + omitted]).T
-    w, k = np.exp(t - t.max()), len(kept)
-    val = w[:k] @ v[:k]
-    err = _RESIDUE_TOL * (w[:k] @ m[:k]) + w[k:] @ np.abs(v[k:])
-    log_val = t.max() + math.log(val) if val > 0.0 else math.nan
-    if not (err <= _ASYMPTOTE_TOL * val and log_val <= 0.0):
+    lo, hi = _pole_clusters(law, rho)
+    f, f_err = _line_integral(law, lx, "F")
+    try:
+        r, r_err = _mb_integral(law, lx, lo, hi, 0.5 * (lo + hi), True)
+    except OverflowError:
+        r = r_err = math.inf  # the remainder's scale exceeds the largest double
+    # F less the line of -x^-s E[Z^s] / s in the gap, whose integrand is
+    # -1 times the one _mb_integral sums
+    val, err = f + r, abs(r) + f_err + r_err
+    if not (err <= _ASYMPTOTE_TOL * val and val <= 1.0):
         raise AccuracyError(
-            f"power-law CDF limit does not hold at x={x:g} (next residues "
+            f"power-law CDF limit does not hold at x={x:g} (error estimate "
             f"{err:.1e} against a strip sum of {val:.3e}); use z_cdf")
-    return math.exp(log_val)
+    return val
 
 
 def z_cdf_asymptotic(ch: CompositeProduct, x):
     """Small-x limit of the CDF (scalar or array): the residues of
-    -x^-s E[Z^s] / s in the strip -(b_min + 1) <= Re s < 0.  Poles closer
-    than 1 / max(1, |ln x|) share a circle, so coincident parameters give
-    the x^b (ln 1/x)^k terms of a multiple pole.  The next two clusters'
-    residues estimate the error; beyond 1e-2 of the value, or for a limit
-    above 1, it raises AccuracyError (use z_cdf there)."""
+    -x^-s E[Z^s] / s in the strip -(b_min + 1) <= Re s < 0, extended past it
+    to the next gap of at least 1 / max(1, |ln x|) between poles, so that
+    coincident parameters give the x^b (ln 1/x)^k terms of a multiple pole.
+    By Cauchy's theorem they are F's line integral less that of the same
+    integrand on a line in the gap, the remainder; its size and both lines'
+    error estimates estimate the error.  Beyond 1e-2 of the value, or for a
+    limit above 1, it raises AccuracyError (use z_cdf there)."""
     return _pointwise(partial(_asymptote_at, ch._law), x, allow_zero=True)
 
 

@@ -22,11 +22,12 @@ Phi(s) is one; the Mellin transform E[Z^s] of the composite channel in
 a vertical line it decays like exp(-pi |t| / 2) per net Gamma factor, so
 the trapezoidal rule converges exponentially (Trefethen & Weideman, SIAM
 Rev. 56, 2014), also after the change of variable t = w sinh(u).
-`_mb_integral` is that rule: the line sits at the saddle of the real
-integrand, the step follows from the pole-free strip around it, the map's
-angle from how fast the integrand grows across the line against how fast it
-falls up it, and the sum on twice the step, taken from the same nodes,
-gives the error estimate.  The saddle search runs on Python floats, with
+`_mb_integral` is that rule, and the package's only quadrature: the line
+sits at the saddle of the real integrand, the step follows from the edges
+of the pole-free strip it is given, the map's angle from how fast the
+integrand grows across the line against how fast it falls up it, and the
+sum on twice the step, taken from the same nodes, gives the error
+estimate.  The saddle search runs on Python floats, with
 the C library's lnGamma and the digamma and trigamma written here (`_psi`),
 from a start the kernel gives (for Z the saddle of its lognormal model) to
 its first Newton step below 1e-3.  Complex lnGamma is Lanczos's form on
@@ -41,8 +42,8 @@ evaluates them one at a time, so the two agree bit for bit.
 Slater's theorem (Gradshteyn & Ryzhik 9.303) writes the same G as a finite
 sum of pFq series weighted by gamma ratios.  `build_slater_expansion` gives
 those terms and `pfq` sums each series; no other evaluation in the package
-runs on them (the small-x asymptote of the CDF takes its residues from the
-Mellin transform in `distributions`).
+runs on them (the small-x asymptote of the CDF in `distributions` takes its
+residues as the difference of two line integrals of the Mellin transform).
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ class SeriesOverflowError(AccuracyError):
 def gamma_fn(x):
     """Gamma function for real x, poles rejected."""
     x = float(x)
+    if x != x:
+        raise DomainError("gamma_fn argument must not be NaN")
     if x <= 0 and x == math.floor(x):
         raise DomainError(f"gamma_fn pole at non-positive integer x={x}")
     return math.gamma(x)
@@ -150,7 +153,10 @@ def gamma_fn(x):
 
 def erf_fn(x):
     """Error function for real x."""
-    return math.erf(float(x))
+    x = float(x)
+    if x != x:
+        raise DomainError("erf_fn argument must not be NaN")
+    return math.erf(x)
 
 
 def bessel_k(nu, x):
@@ -163,10 +169,12 @@ def bessel_k(nu, x):
     # the package, and no recipe needs it
     from scipy.special import kv
 
-    x = float(x)
+    nu, x = float(nu), float(x)
+    if nu != nu or x != x:
+        raise DomainError("bessel_k arguments must not be NaN")
     if x <= 0:
         raise DomainError(f"bessel_k requires x > 0, got x={x}")
-    val = float(kv(abs(float(nu)), x))
+    val = float(kv(abs(nu), x))
     if math.isinf(val):
         raise OverflowError(
             f"bessel_k(nu={nu}, x={x}) overflows double precision (positive)"
@@ -177,9 +185,11 @@ def bessel_k(nu, x):
 def _pfq_series(a, b, z, tol, max_terms=_MAX_TERMS):
     """Sum the pFq series elementwise over the array z.
 
-    Returns (values, peak, converged): `peak` is the largest |term| met per
-    element (for cancellation accounting), `converged` marks elements whose
-    running term dropped below tol * |partial sum| while decreasing.
+    Returns (values, peak, converged, terms): `peak` is the largest |term|
+    met per element (for cancellation accounting), `converged` marks
+    elements whose running term dropped below tol * |partial sum| while
+    decreasing, for three terms in a row, and `terms` is the number of terms
+    summed.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -217,7 +227,8 @@ def pfq(a_list, b_list, z, tol=1e-12):
     Returns (value, achieved) where `achieved` reports whether the requested
     truncation tolerance was reached.  Raises SeriesOverflowError when the
     series has not started converging within the term cap, and DomainError
-    for non-positive-integer lower parameters (poles of the series).
+    for non-positive-integer lower parameters (poles of the series) and for
+    NaN arguments.
     """
     a = [float(v) for v in a_list]
     b = [float(v) for v in b_list]
@@ -228,6 +239,8 @@ def pfq(a_list, b_list, z, tol=1e-12):
             raise DomainError(f"pfq lower parameter {bj} is a non-positive integer")
     scalar = np.isscalar(z) or np.ndim(z) == 0
     zz = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.isnan(zz).any() or any(v != v for v in a + b):
+        raise DomainError("pfq arguments must not be NaN")
     values, peak, converged, n_terms = _pfq_series(a, b, zz, tol)
     if not np.all(converged):
         idx = int(np.argmin(converged))
@@ -479,7 +492,8 @@ class _GammaKernel:
     gather, and absent minus, denominator or pointing rows cost nothing.  At
     a point, and on the real slices, which run on floats, it enters once per
     pair times its net power.  Everything that does not depend on s or ln x
-    is built here, once per kernel.
+    is built here, once per kernel.  The kernel lists no poles: each caller
+    of _mb_integral gives the edges of its strip, the poles that bound it.
 
     K has two complex forms.  `log_fused` takes it on an array, on the
     Lanczos lnGamma: the factors whose logs a sum of lnGamma values would
@@ -512,12 +526,7 @@ class _GammaKernel:
         self.psi_rows = ([(b, 1.0, k, k) for b, k in self.plus]
                          + [(b, -1.0, -k, k) for b, k in self.minus])
         self.log_scale, self.log_norm = log_scale, 0.0
-        # the poles next to the strip: those of the numerator's Gammas and of
-        # 1 / (xi + s); |K(c + it)| falls like exp(-decay |t|), by pi / 2 per
-        # net Gamma
-        self.pole_list = ([-b for b, k in self.plus if k > 0]
-                          + [b for b, k in self.minus if k > 0] + [-xi for xi in xis])
-        self.poles = np.array(self.pole_list)
+        # |K(c + it)| falls like exp(-decay |t|), by pi / 2 per net Gamma
         self.decay = 0.5 * math.pi * sum(power.values())
         # the terms of log_fused linear in s, -(base + sign s + 6.5) +
         # ln(2 pi) / 2 per row and power, summed here
@@ -566,14 +575,14 @@ class _GammaKernel:
         return c
 
     def log_size(self, c, lx, pole):
-        """log of the real integrand x^-c K(c) (over |c| when pole)."""
+        """log of the real integrand |x^-c K(c)| (over |c| when pole)."""
         v = c * (self.log_scale - lx) + self.log_norm
         for b, k in self.plus:
             v += k * math.lgamma(b + c)
         for b, k in self.minus:
             v += k * math.lgamma(b - c)
         for xi in self.pointing:
-            v -= math.log(xi + c)
+            v -= math.log(abs(xi + c))
         return v - math.log(abs(c)) if pole else v
 
     def slopes(self, c, lx, pole):
@@ -665,15 +674,16 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     exponentiated, so a value it brings back from below the smallest double
     keeps its digits.
 
-    The _GammaKernel gives log M at a complex point above the real axis on
-    its principal branch (`log_probe`, to about 1e-7) and on a complex array
-    modulo 2 pi i (`log_fused`), the real slice log(x^-c M(c) / |c|^pole)
-    and its first two derivatives in c on floats (`log_size`, `slopes`), the
-    poles next to the strip (`poles`), the rate at which |M(c + it)| falls
-    in |t| far up the line (`decay`), and where in the strip the saddle
-    search starts (`start`, from c).  Where
-    the search meets a pole of the real slice, or no minimum, the call
-    refuses.  Every quantity depends on (kernel, lx) alone, so scalar and
+    The strip's finite edges are poles of the integrand, the nearest to the
+    line; between them the strip may lie left of some Gamma poles, as the
+    remainder line of z_cdf_asymptotic does.  The _GammaKernel gives log M
+    at a complex point above the real axis on its principal branch
+    (`log_probe`, to about 1e-7) and on a complex array modulo 2 pi i
+    (`log_fused`), the real slice log|x^-c M(c) / c^pole| and its first two
+    derivatives in c on floats (`log_size`, `slopes`), the rate at which
+    |M(c + it)| falls in |t| far up the line (`decay`), and where in the
+    strip the saddle search starts (`start`, from c).  Where the search
+    meets a pole of the real slice, or no minimum, the call refuses.  Every quantity depends on (kernel, lx) alone, so scalar and
     array callers agree bit for bit.  Where the peak on
     the line proves the value zero in double precision (_MB_LOG_ZERO), it is
     returned without nodes.
@@ -709,9 +719,7 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
         # Far out the saddle line has no digits left to size a step from,
         # and the value is zero anyway: signed as the integrand at the peak.
         return (math.copysign(0.0, c) if pole else 0.0), 0.0
-    near = min(abs(c - p) for p in kern.pole_list)
-    if pole:
-        near = min(near, abs(c))
+    near = min(c - lo, hi - c)
 
     # The integrand is analytic in the region and bounded there by its real
     # value at c +- a, so the discretization error falls like

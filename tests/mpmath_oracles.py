@@ -5,6 +5,8 @@ integral.  Constants, the pointing factors' upper parameters and arguments
 are taken at the working precision.  mpmath_gg_pdf is the single link's
 Bessel-K closed form."""
 
+import math
+
 import mpmath
 
 from cascade_fading.specfun import MeijerGSpec
@@ -77,3 +79,63 @@ def mpmath_gg_pdf(p, x):
         s = (a + b) / 2
         return float(2 * r**s / (mpmath.gamma(a) * mpmath.gamma(b)) * x ** (s - 1)
                      * mpmath.besselk(a - b, 2 * mpmath.sqrt(r * x)))
+
+
+def mpmath_strip_residues(ch, x):
+    """The residues of -x^-s E[Z^s] / s that z_cdf_asymptotic keeps, at 50
+    digits.  The poles -(shape + k) and -xi are listed and chained here in
+    plain Python by the README's rule: neighbours closer than rho =
+    min(1 / max(1, |ln x|), b_min) share a cluster, and the clusters that
+    reach Re s >= -(b_min + 1) are kept.  Each cluster's residue is the
+    trapezoidal rule on a circle that clears it by rho / 2, its nodes
+    doubled until two sums agree to 1e-30 of the later one."""
+    shapes = [v for g in ch.gg_links for v in (g.alpha, g.beta)]
+    xis = [p.xi for p in ch.pe_links]
+    b_min = min(shapes + xis)
+    rho = min(1.0 / max(1.0, abs(math.log(x))), b_min)
+    deep = b_min + 32.0  # every gamma pole above -deep is listed
+    poles = sorted([-(b + k) for b in shapes for k in range(int(deep - b) + 1)]
+                   + [-xi for xi in xis], reverse=True)
+    clusters = [[poles[0]]]
+    for p in poles[1:]:
+        if clusters[-1][-1] - p < rho:
+            clusters[-1].append(p)
+        else:
+            clusters.append([p])
+    kept = [c for c in clusters if c[0] >= -(b_min + 1.0)]
+    assert kept[-1][-1] - rho > -deep, "kept clusters reach past the listed poles"
+    with mpmath.workdps(50):
+        lx = mpmath.log(mpmath.mpf(x))
+        scale = (mpmath.fsum(mpmath.log(mpmath.mpf(g.omega) / (mpmath.mpf(g.alpha) * g.beta))
+                             for g in ch.gg_links)
+                 + mpmath.fsum(mpmath.log(mpmath.mpf(p.a_o)) for p in ch.pe_links))
+        norm = (mpmath.fprod(mpmath.mpf(xi) for xi in xis)
+                / mpmath.fprod(mpmath.gamma(mpmath.mpf(b)) for b in shapes))
+
+        def integrand(s):
+            """-x^-s E[Z^s] / s"""
+            return -(mpmath.exp(s * (scale - lx)) * norm
+                     * mpmath.fprod(mpmath.gamma(b + s) for b in shapes)
+                     / mpmath.fprod(xi + s for xi in xis) / s)
+
+        total = 0
+        for c in kept:
+            mid = (mpmath.mpf(c[0]) + c[-1]) / 2
+            r = (mpmath.mpf(c[0]) - c[-1] + rho) / 2
+            n = 16
+            terms = [integrand(mid + z) * z
+                     for z in (r * mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n))]
+            prev = mpmath.fsum(terms) / n
+            while True:
+                # the new nodes sit halfway between the old ones
+                n *= 2
+                terms += [integrand(mid + z) * z
+                          for z in (r * mpmath.expjpi(mpmath.mpf(2 * k) / n)
+                                    for k in range(1, n, 2))]
+                now = mpmath.fsum(terms) / n
+                if abs(now - prev) <= 1e-30 * abs(now):
+                    break
+                assert n < 1 << 14, "residue sum does not settle"
+                prev = now
+            total += now.real
+        return float(total)

@@ -40,7 +40,8 @@ from cascade_fading.specfun import (
     bessel_k,
     build_slater_expansion,
 )
-from mpmath_oracles import cdf_meijer_form, mpmath_cdf, mpmath_gg_pdf, mpmath_pdf, mpmath_sf
+from mpmath_oracles import (
+    cdf_meijer_form, mpmath_cdf, mpmath_gg_pdf, mpmath_pdf, mpmath_sf, mpmath_strip_residues)
 
 WEAK = GammaGammaParams(10.02, 2.98)
 STRONG = GammaGammaParams(4.942, 1.231)
@@ -506,6 +507,23 @@ class TestAsymptote:
         for x in (1e-6, 1e-4):
             assert z_cdf_asymptotic(ch, x) == pytest.approx(_strip_slater(ch, x), rel=1e-12)
 
+    @pytest.mark.parametrize("ch,x", [
+        (CompositeProduct((STRONG,) * 6), 1e-6),
+        (CompositeProduct((STRONG,) * 6), 1e-20),
+        # the flattened branch law of recipe fig8_n3
+        (CompositeProduct((WEAK,) * 6, (PointingErrorParams(130.79700001061087,
+                                                            0.3900061737674387),) * 6), 1e-10),
+        (CompositeProduct((WEAK, WEAK)), 1e-6),
+        (CompositeProduct((WEAK, WEAK, WEAK), (PE_A,)), 1e-6),
+        # the strip holds only -xi, 38 units right of the next poles
+        (CompositeProduct((GammaGammaParams(40.0, 50.0),), (PointingErrorParams(1.2, 0.8),)), 0.3),
+    ], ids=["strong6_1e-6", "strong6_1e-20", "fig8_n3_flat", "weak2", "weak3_pe", "pe_far_0.3"])
+    def test_matches_strip_residue_oracle(self, ch, x):
+        # 50-digit residues on circles, from poles listed apart from the
+        # library
+        assert (z_cdf_asymptotic(ch, x)
+                == pytest.approx(mpmath_strip_residues(ch, x), rel=1e-12, abs=0.0))
+
     def test_near_coincident_pairs_are_continuous(self):
         # F itself moves by 3e-3 between delta = 0 and 1e-3, so the pin is
         # on the ratio to z_cdf: no refusal and no jump as the poles part
@@ -619,11 +637,11 @@ def _doubling_reference(law, lx, kind):
     pole = kind != "f"
     sign = -1.0 if kind == "F" else 1.0
     if kind == "F":
-        c, curv = specfun._saddle(law, lx, -law.b_min, 0.0, -0.5 * law.b_min, True)
+        lo, hi = -law.b_min, 0.0
+        c, curv = specfun._saddle(law, lx, lo, hi, -0.5 * law.b_min, True)
     else:
-        lo = 0.0 if pole else -law.b_min
-        c, curv = specfun._saddle(law, lx, lo, math.inf, 1.0 if pole else 0.0, pole)
-    poles = np.append(law.poles, 0.0) if pole else law.poles
+        lo, hi = (0.0 if pole else -law.b_min), math.inf
+        c, curv = specfun._saddle(law, lx, lo, hi, 1.0 if pole else 0.0, pole)
     peak = law.log_size(c, lx, pole)
     if peak < specfun._MB_LOG_ZERO:
         return sign * (math.copysign(0.0, c) if pole else 0.0), 0.0, 0
@@ -634,7 +652,7 @@ def _doubling_reference(law, lx, kind):
 
     budget = 1.0 - math.log(specfun._MB_TOL)
     width = math.sqrt(2.0 * budget / curv)
-    a = min(specfun._MB_STRIP * float(np.min(np.abs(c - poles))), width)
+    a = min(specfun._MB_STRIP * min(c - lo, hi - c), width)
     top = 1j * (width + budget / law.decay)
     edge = max(law.log_size(c - a, lx, pole), law.log_size(c + a, lx, pole))
     step = log_integrand(c + a + top) - log_integrand(c - a + top)
@@ -809,28 +827,6 @@ class TestNodeSchedule:
         with pytest.raises(AccuracyError):
             distributions._line_integral(law, lx, "F")
         assert count.nodes == 2 + used
-
-    def test_residue_doubling_reuses_nodes(self, monkeypatch):
-        # at x = 1e-4 the leading pole cluster of (0.6, 0.5)(0.7, 0.55)
-        # converges on a circle of 256 nodes: the doublings evaluate only the
-        # new odd nodes, 256 in all, not 64 + 128 + 256
-        law = CompositeProduct((GammaGammaParams(0.6, 0.5), GammaGammaParams(0.7, 0.55)))._law
-        lx = math.log(1e-4)
-        rho = 1.0 / abs(lx)
-        cluster = distributions._pole_clusters(law, rho)[0][0]
-        count = _NodeCount(monkeypatch)
-        top, val, mass = distributions._cluster_residue(law, lx, cluster, rho)
-        assert count.nodes == 256
-        # the same sum as all 256 nodes evaluated at once
-        mid, r = 0.5 * (cluster[0] + cluster[-1]), 0.5 * (cluster[0] - cluster[-1] + rho)
-        z = r * np.exp(2j * math.pi / 256 * np.arange(256))
-        logv = law.log_fused(mid + z, lx, z / -(mid + z), mid - r, mid + r)
-        v = np.exp(logv - logv.real.max())
-        assert (top, val, mass) == (float(logv.real.max()), v.mean().real, np.abs(v).mean())
-        # and 128 nodes do not suffice
-        monkeypatch.setattr(distributions, "_RESIDUE_NODES", 64 << np.arange(2))
-        with pytest.raises(AccuracyError, match="more than 128 nodes"):
-            distributions._cluster_residue(law, lx, cluster, rho)
 
     # evaluated nodes per call on the deep outage tail, x from 1e-7 to 1e-3
     # (F from 1e-8 or below): about 1.15 times those measured (149, 138 and

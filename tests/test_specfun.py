@@ -53,6 +53,10 @@ class TestGamma:
         # reflection: Gamma(-0.5) = -2 sqrt(pi)
         assert gamma_fn(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            gamma_fn(math.nan)
+
 
 class TestErf:
     def test_zero(self):
@@ -70,6 +74,10 @@ class TestErf:
     @given(st.floats(min_value=1e-3, max_value=5.0))
     def test_odd_symmetry(self, x):
         assert erf_fn(-x) == -erf_fn(x)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            erf_fn(math.nan)
 
 
 def _bessel_k_quadrature(nu, x):
@@ -105,6 +113,11 @@ class TestBesselK:
         with pytest.raises(DomainError):
             bessel_k(1.0, -3.0)
 
+    @pytest.mark.parametrize("nu,x", [(1.0, math.nan), (math.nan, 1.0)])
+    def test_nan_rejected(self, nu, x):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            bessel_k(nu, x)
+
     def test_overflow_is_an_error(self):
         with pytest.raises(OverflowError):
             bessel_k(50.0, 1e-6)
@@ -130,6 +143,16 @@ class TestPfq:
     def test_rejects_nonpositive_integer_lower(self):
         with pytest.raises(DomainError):
             pfq([1.0], [-2.0], 0.5)
+
+    @pytest.mark.parametrize("a,b,z", [
+        ([1.0], [2.0], math.nan),
+        ([1.0], [2.0], [0.5, math.nan]),
+        ([math.nan], [2.0], 0.5),
+        ([1.0], [math.nan], 0.5),
+    ])
+    def test_nan_rejected(self, a, b, z):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            pfq(a, b, z)
 
     def test_vectorized_matches_scalar(self):
         zs = np.array([0.1, 1.0, 7.5])

@@ -1,10 +1,10 @@
 """Value fingerprint of the analytic layer, and how far two trees differ.
 
-Prints one line per outcome: `z_cdf`, `z_pdf` and the raw F, Q and f line
-integrals (value and error estimate) of 13 channels at 23 x from 5e-324 to
-1e300, and `meijer_g` (value and error estimate) of 7 specs at 12 x; 1579
-outcomes in all.  An outcome is the repr of each float, or the type and
-message of the exception raised.
+Prints one line per outcome: `z_cdf`, `z_pdf`, `z_cdf_asymptotic` and the
+raw F, Q and f line integrals (value and error estimate) of 13 channels at
+23 x from 5e-324 to 1e300, and `meijer_g` (value and error estimate) of 7
+specs at 12 x; 1878 outcomes in all.  An outcome is the repr of each
+float, or the type and message of the exception raised.
 
     python tools/fingerprint.py                    # the tree's own src/
     python tools/fingerprint.py --src OTHER/src    # another tree's
@@ -64,7 +64,7 @@ SPECS = {
     "cdf3124": (3, 1, 2, 4, (1.0, 7.7), (4.94, 1.23, 6.7, 0.0)),
     "pole_on_search": (2, 1, 1, 3, (-3.0,), (4.94, 1.23, 0.0)),
 }
-KINDS = ("z_cdf", "z_pdf", "F", "Q", "f", "meijer_g")
+KINDS = ("z_cdf", "z_pdf", "z_cdf_asymptotic", "F", "Q", "f", "meijer_g")
 
 
 def _outcome(fn, *args):
@@ -90,6 +90,8 @@ def fingerprint():
         for x in XS:
             lines.append((f"z_cdf {name} {x!r}", _outcome(distributions.z_cdf, ch, x)))
             lines.append((f"z_pdf {name} {x!r}", _outcome(distributions.z_pdf, ch, x)))
+            lines.append((f"z_cdf_asymptotic {name} {x!r}",
+                          _outcome(distributions.z_cdf_asymptotic, ch, x)))
             for kind in "FQf":
                 lines.append((f"{kind} {name} {x!r}", _outcome(
                     distributions._line_integral, law, math.log(x), kind)))
