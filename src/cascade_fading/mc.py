@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +136,9 @@ def _tally(n, seed, draw, hit, points):
             for i, point in enumerate(points):
                 counts[i] += int(np.count_nonzero(hit(block, *point)))
         return counts
+
+    # imported here: concurrent.futures costs a cold analytic run ~6 ms
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(min(len(sizes), _usable_cpus())) as pool:
         hits = [sum(c) for c in zip(*pool.map(chunk, range(len(sizes))))]

@@ -25,9 +25,9 @@ Rev. 56, 2014), also after the change of variable t = w sinh(u).
 `_mb_integral` is that rule, and the package's only quadrature: the line
 sits at the saddle of the real integrand, the step follows from the edges
 of the pole-free strip it is given, the map's angle from how fast the
-integrand grows across the line against how fast it falls up it, and the
-sum on twice the step, taken from the same nodes, gives the error
-estimate.  The saddle search runs on Python floats, with
+integrand grows across the line against how fast, and how far, it falls up
+it, and the sum on twice the step, taken from the same nodes, gives the
+error estimate.  The saddle search runs on Python floats, with
 the C library's lnGamma and the digamma and trigamma written here (`_psi`),
 from a start the kernel gives (for Z the saddle of its lognormal model) to
 its first Newton step below 1e-3.  Complex lnGamma is Lanczos's form on
@@ -94,14 +94,16 @@ _GUARD_REL = 3e-4
 # Target size of the discretization and truncation errors of a line
 # integral, relative to the integrand's peak on the line; the half-width of
 # the trapezoidal rule's strip, as a fraction of the distance from the line
-# to the nearest pole; the share of the integrand's fall up the line that
+# to the nearest pole; the share of the integrand's fall up the line, the
+# smaller of its rate at the probe's height and its average below it, that
 # its growth across the line may take along the edge of the sinh-mapped
-# strip (tan eta = _MB_ANGLE * fall / rise); the node count beyond which an
+# strip (tan eta = _MB_ANGLE * min(fall, avg) / rise, or half the fall rate
+# where that is wider; see _mb_integral); the node count beyond which an
 # evaluation refuses; the iteration cap of the saddle search, and the Newton
 # step, relative to 1 + |c|, that it takes as its last.
 _MB_TOL = 1e-17
 _MB_STRIP = 0.9
-_MB_ANGLE = 0.5
+_MB_ANGLE = 0.9
 _MB_MAX_NODES = 1 << 17
 _SADDLE_ITERS = 100
 _SADDLE_STEP = 1e-3
@@ -452,14 +454,14 @@ def _lngamma_parts(zk, reflect):
     k] = z + k, k = 0..7, of the Lanczos sum: Lanczos's form with its logs
     of the Lanczos sum and of the sine left in the factor m, which stays of
     modest size away from the poles (near 1 for large |z|), so that a
-    product of m over many rows keeps its digits and needs one log.  The
+    product of m over many rows keeps its digits and needs no log.  The
     term linear in z is left to the caller, who sums it over rows in closed
-    form.  Below Re z = 1/2 the log of the Lanczos sum leaves the principal
-    branch, which modulo 2 pi i does not matter, and its value keeps its
-    digits down to Re z = 0; only where `reflect` is true may z have
-    elements with Re z < 0, which reflect (DLMF 5.5.3), with sin(pi z) taken
-    from Re z less its nearest integer and scaled by e^(-pi |Im z|), so that
-    it keeps its digits near the poles and cannot overflow."""
+    form.  Below Re z = 1/2 ln m leaves the principal branch, which the
+    value of a product of m never sees, and m keeps its digits down to
+    Re z = 0; only where `reflect` is true may z have elements with Re z <
+    0, which reflect (DLMF 5.5.3), with sin(pi z) taken from Re z less its
+    nearest integer and scaled by e^(-pi |Im z|), so that it keeps its
+    digits near the poles and cannot overflow."""
     z = zk[..., 0]
     if reflect:
         refl = z.real < 0.0
@@ -495,12 +497,13 @@ class _GammaKernel:
     is built here, once per kernel.  The kernel lists no poles: each caller
     of _mb_integral gives the edges of its strip, the poles that bound it.
 
-    K has two complex forms.  `log_fused` takes it on an array, on the
-    Lanczos lnGamma: the factors whose logs a sum of lnGamma values would
-    add up (the rows' Lanczos sums, the pointing rows and a caller's factor)
-    are multiplied into one array, of which it takes one log, right modulo
-    2 pi i, which is all a sum of exponentials needs; the terms linear in s
-    of all rows are summed once, here.  `log_probe` takes it at one point
+    K has two complex forms.  `fused` takes it on an array, on the Lanczos
+    lnGamma: the factors whose logs a sum of lnGamma values would add up
+    (the rows' Lanczos sums, the pointing rows and a caller's factor) are
+    multiplied into one array, which multiplies the exponential of the rest,
+    the rows' (z - 1/2) ln(z + 6.5) and the terms linear in s of all rows,
+    summed once, here; so no complex log is taken of the product only for
+    the sum to exponentiate it again.  `log_probe` takes it at one point
     above the real axis on Python complex numbers, on `_lngamma_up`,
     continuous along a horizontal segment and accurate to about 1e-7, which
     is all the rates that _mb_integral reads off two such points need."""
@@ -515,7 +518,7 @@ class _GammaKernel:
         up = [keys.index((b, sign)) for b, sign, pw in rows if pw > 0]
         self.up = None if up == list(range(len(keys))) else up
         self.down = [keys.index((b, sign)) for b, sign, pw in rows if pw < 0]
-        # the columns base + k - 1 of the Lanczos sum that log_fused adds s
+        # the columns base + k - 1 of the Lanczos sum that fused adds s
         # to, and subtracts s from
         self.base = np.array([[[b]] for b, _ in self.plus]) + _LANCZOS_K
         self.mirror = np.array([[[b]] for b, _ in self.minus]) + _LANCZOS_K if self.minus else None
@@ -528,7 +531,7 @@ class _GammaKernel:
         self.log_scale, self.log_norm = log_scale, 0.0
         # |K(c + it)| falls like exp(-decay |t|), by pi / 2 per net Gamma
         self.decay = 0.5 * math.pi * sum(power.values())
-        # the terms of log_fused linear in s, -(base + sign s + 6.5) +
+        # the terms of fused linear in s, -(base + sign s + 6.5) +
         # ln(2 pi) / 2 per row and power, summed here
         self.fused_scale = log_scale - sum(pw * sign for (b, sign), pw in power.items())
         self.fused_norm = sum(pw * (_HALF_LOG_2PI - 6.5 - b) for (b, sign), pw in power.items())
@@ -550,24 +553,25 @@ class _GammaKernel:
             v -= cmath.log(xi + s)
         return v
 
-    def log_fused(self, s, lx, factor, lo, hi):
-        """log(x^-s K(s) factor), ln x = lx, on the complex array s with lo
-        <= Re s <= hi, modulo 2 pi i, with one complex log for the whole
-        product (see the class docstring)."""
+    def fused(self, s, lx, factor, lo, hi, shift):
+        """x^-s K(s) factor e^-shift, ln x = lx, on the complex array s with
+        lo <= Re s <= hi: the exponential of the terms linear in s and of the
+        rows' (z - 1/2) ln(z + 6.5), times the product of the rest (see the
+        class docstring)."""
         col = s[:, None]
         zk = self.base + col
         if self.mirror is not None:
             zk = np.concatenate((zk, self.mirror - col))
         l, m = _lngamma_parts(zk, lo < self.safe_lo or hi > self.safe_hi)
         lg = np.add.reduce(l if self.up is None else l[self.up], axis=0,
-                           initial=self.log_norm + self.fused_norm)
+                           initial=self.log_norm + self.fused_norm - shift)
         prod = np.multiply.reduce(m if self.up is None else m[self.up], axis=0) * factor
         if self.down:
             lg = lg - np.add.reduce(l[self.down], axis=0)
             prod = prod / np.multiply.reduce(m[self.down], axis=0)
         if self.pointing:
             prod = prod / np.multiply.reduce(self.xi_col + s, axis=0)
-        return s * (self.fused_scale - lx) + lg + np.log(prod)
+        return np.exp(s * (self.fused_scale - lx) + lg) * prod
 
     def start(self, lx, lo, hi, c, pole):
         """Where the saddle search on (lo, hi) starts: at c, the start its
@@ -678,15 +682,15 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     line; between them the strip may lie left of some Gamma poles, as the
     remainder line of z_cdf_asymptotic does.  The _GammaKernel gives log M
     at a complex point above the real axis on its principal branch
-    (`log_probe`, to about 1e-7) and on a complex array modulo 2 pi i
-    (`log_fused`), the real slice log|x^-c M(c) / c^pole| and its first two
-    derivatives in c on floats (`log_size`, `slopes`), the rate at which
+    (`log_probe`, to about 1e-7), M itself on a complex array, scaled by
+    e^-peak (`fused`), the real slice log|x^-c M(c) / c^pole| and its first
+    two derivatives in c on floats (`log_size`, `slopes`), the rate at which
     |M(c + it)| falls in |t| far up the line (`decay`), and where in the
     strip the saddle search starts (`start`, from c).  Where the search
-    meets a pole of the real slice, or no minimum, the call refuses.  Every quantity depends on (kernel, lx) alone, so scalar and
-    array callers agree bit for bit.  Where the peak on
-    the line proves the value zero in double precision (_MB_LOG_ZERO), it is
-    returned without nodes.
+    meets a pole of the real slice, or no minimum, the call refuses.  Every
+    quantity depends on (kernel, lx) alone, so scalar and array callers
+    agree bit for bit.  Where the peak on the line proves the value zero in
+    double precision (_MB_LOG_ZERO), it is returned without nodes.
 
     The rule is the trapezoidal one in u, with t = w sinh(u): steps as fine
     as a uniform rule's across the peak at t = 0, growing geometrically
@@ -695,13 +699,30 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     a hyperbolic region that meets the real axis exactly on [c - a, c + a]
     (w = a / sin eta), so the pole-free strip and the edge bound of a
     uniform rule carry over with the step h = 2 pi eta / (edge - peak +
-    budget).  The region opens with height: at Im s = T its edge lies
-    sqrt(a^2 + T^2 tan^2 eta) off the line, where x^-s M(s) grows at the
-    rate d/dc log|integrand| and falls at the rate -d/dt log|integrand|.  Both
-    are read off one complex difference of log_probe across the strip at
-    the height where `decay` has spent the error budget, and tan eta is
-    _MB_ANGLE times their ratio, at most _MB_ANGLE (beyond eta = pi/4 a
-    Gaussian peak grows along the edge).
+    budget).  The region opens with height: at Im s = t its edge lies
+    sqrt(a^2 + t^2 tan^2 eta) off the line, where x^-s M(s) grows at the
+    rate rise = d/dc log|integrand| and falls at the rate fall = -d/dt
+    log|integrand|.  Both are read off one complex difference of log_probe
+    across the strip at the height T where `decay` has spent the error
+    budget, and so is the average fall below it, avg = (peak -
+    log|integrand(c + iT)|) / T.
+
+    The angle follows from the strip bound.  Above the height where the
+    line itself has fallen by the budget the line bounds the error; below
+    it the edge must stay under the bound on the real axis, so the growth
+    across, about rise t tan eta, may not exceed the line's fall up to t.
+    Where the fall is fastest first (the 1/t shoulder next to a pole) that
+    fall is at least t avg up to T, and past T it grows at about the rate
+    fall: tan eta = sigma min(fall, avg) / rise.  The share sigma =
+    _MB_ANGLE = 0.9 leaves a tenth of the fall for the weight |cosh u|, which
+    grows along the edge by ln(T tan eta / a) more than on the line: about
+    3 on the deep outage tail, where the line falls by about 30 up to T.
+    Where the fall grows with height instead (a Gaussian peak, avg = fall /
+    2), the growth across is quadratic in the offset and stays bounded
+    along the edge for eta < pi/4, which tan eta = fall / (2 rise) keeps;
+    the angle is the wider of the two, that one alone where avg is not
+    positive or NaN.  The ratio is over max(rise, fall), so tan eta is at
+    most _MB_ANGLE.
     """
     try:
         c, curv = _saddle(kern, lx, lo, hi, c, pole)
@@ -756,7 +777,11 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     if not fall > 0.0:
         raise AccuracyError(
             f"Mellin-Barnes integrand does not decay up the line (ln x = {lx:.6g})")
-    eta = math.atan(_MB_ANGLE * fall / max(rise, fall))
+    # the average fall from the peak up to height T, per distance 2a as the
+    # rates above
+    avg = (peak - 0.5 * (v2.real + v3.real)) * 2.0 * a / top
+    spend = max(0.5 * fall, _MB_ANGLE * min(fall, avg)) if avg > 0.0 else 0.5 * fall
+    eta = math.atan(spend / max(rise, fall))
     w = a / math.sin(eta)
     h = 2.0 * math.pi * eta / (edge - peak + budget)
     # |integrand| decreases in |t|: add nodes until it drops below the floor.
@@ -778,23 +803,22 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
         # the weight dt/du = w cosh(u), its factor w taken out into the scale
         s = 1j * w * np.sinh(u) + c
         weight = np.cosh(u)
-        logv = kern.log_fused(s, lx, weight / s if pole else weight, c, c)
-        below = logv.real < floor
+        v = kern.fused(s, lx, weight / s if pole else weight, c, c, peak)
+        below = np.abs(v) < _MB_TOL  # the floor, on nodes scaled by e^-peak
         if not k0:
             below[0] = False  # node 0 is the peak itself
         cut = below.argmax()  # the first node below the floor, or 0 for none
         if cut or below[0]:
-            chunks.append(logv[:cut])
+            chunks.append(v[:cut])
             break
-        chunks.append(logv)
+        chunks.append(v)
         k0 += n
         if k0 >= _MB_MAX_NODES:
             raise AccuracyError(
                 f"Mellin-Barnes integral needs more than {_MB_MAX_NODES} nodes "
                 f"(ln x = {lx:.6g})")
         n *= 2
-    logv = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    re = np.exp(logv - peak).real
+    re = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).real
     head = 0.5 * re.item(0)
     fine = head + float(np.add.reduce(re[1:]))
     coarse = 2.0 * (head + float(np.add.reduce(re[2::2])))

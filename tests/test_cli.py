@@ -507,6 +507,25 @@ class TestEval:
 
 
 class TestColdImport:
+    def test_thread_pool_loads_with_the_first_monte_carlo_run(self):
+        # concurrent.futures costs ~6 ms after numpy: the import and an
+        # analytic run leave it unloaded, a Monte Carlo run loads it
+        code = """
+import sys
+import cascade_fading.cli as cli
+
+assert "concurrent.futures" not in sys.modules
+text, flagged = cli.run(cli.parse_config(cli.recipe_path("fig3_weak_weak")), mode="analytic")
+assert text.count("\\n") > 2 and not flagged
+assert "concurrent.futures" not in sys.modules
+cli.run(cli.parse_config(cli.recipe_path("fig13_worst")), mode="mc", samples=20000)
+assert "concurrent.futures" in sys.modules
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_cli_import_leaves_heavy_scipy_modules_unloaded(self):
         # the recipe path runs on numpy alone: no scipy module loads on
         # import or through analytic and Monte Carlo runs.  scipy.special

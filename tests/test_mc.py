@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import concurrent.futures
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -176,7 +177,8 @@ class TestThreadedChunks:
                 opened.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+        # _tally imports the pool class from its module on each call
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often to expose races
         try:

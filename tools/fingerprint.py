@@ -14,7 +14,7 @@ float, or the type and message of the exception raised.
 and reports per kind of outcome how many are bit-identical and the largest
 relative change of the values (normal and subnormal apart) and of the error
 estimates; it lists every outcome whose exception differs, or which raises
-in one tree only.
+in one tree only, and the ten largest moves of a normal value.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def compare(src, other):
     tiny = sys.float_info.min
     print(f"{len(mine)} outcomes; {other} -> {src}")
     print(f"{'kind':9} {'same':>9} {'value (normal)':>15} {'value (subn.)':>14} {'estimate':>9}")
-    differ = []
+    differ, moves = [], []
     for kind in KINDS:
         keys = [k for k in theirs if k.split()[0] == kind]
         same = sum(mine[k] == theirs[k] for k in keys)
@@ -149,12 +149,17 @@ def compare(src, other):
                 subnormal = max(subnormal, move)
             else:
                 normal = max(normal, move)
+                moves.append((move, k, b[0], a[0]))
             if len(a) > 1:
                 est = max(est, _rel(a[1], b[1]))
         print(f"{kind:9} {same:>4}/{len(keys):<4} {normal:15.2g} {subnormal:14.2g} {est:9.2g}")
     print(f"{len(differ)} outcomes raise differently")
     for k, was, now in differ:
         print(f"  {k}: {was} -> {now}")
+    moves = sorted((m for m in moves if m[0] > 0.0), reverse=True)[:10]
+    print(f"largest moves of a normal value ({len(moves)} shown)")
+    for move, k, was, now in moves:
+        print(f"  {k}: {was!r} -> {now!r} ({move:.2g})")
 
 
 def main(argv=None):
