@@ -236,6 +236,8 @@ def parse_config_text(text, source="<string>"):
                                   "a preset sets alpha/beta; give one or the other")
             gg = TURBULENCE_PRESETS[preset]
             kwargs["alpha"], kwargs["beta"] = gg.alpha, gg.beta
+        if ("alpha" in kwargs) != ("beta" in kwargs):  # one alone would go unread
+            raise ConfigError(sec, "alpha/beta", "give both alpha and beta, or neither")
         links.append(LinkConfig(**kwargs))
         i += 1
     if not links:
@@ -323,7 +325,7 @@ def _sweep_target(cfg: ScenarioConfig):
     var = cfg.sweep.variable
     thz = cfg.scenario == "thz_cascade"
     budget = thz and cfg.transceiver.snr_ratio_db is None
-    geometry = [l.alpha is None or l.beta is None for l in cfg.links]
+    geometry = [l.alpha is None for l in cfg.links]
     jittered = [l.misaligned and l.xi is None and l.a_o is None for l in cfg.links]
     if var in _SWEEP_FIELDS:
         target = _SWEEP_FIELDS[var]

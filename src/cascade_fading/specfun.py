@@ -22,20 +22,12 @@ Phi(s) is one; the Mellin transform E[Z^s] of the composite channel in
 a vertical line it decays like exp(-pi |t| / 2) per net Gamma factor, so
 the trapezoidal rule converges exponentially (Trefethen & Weideman, SIAM
 Rev. 56, 2014), also after the change of variable t = w sinh(u).
-`_mb_integral` is that rule, and the package's only quadrature: the line
-sits at the saddle of the real integrand, the step follows from the edges
-of the pole-free strip it is given, the map's angle from how fast the
-integrand grows across the line against how fast, and how far, it falls up
-it, and the sum on twice the step, taken from the same nodes, gives the
-error estimate.  The saddle search runs on Python floats, with
-the C library's lnGamma and the digamma and trigamma written here (`_psi`),
-from a start the kernel gives (for Z the saddle of its lognormal model) to
-its first Newton step below 1e-3.  Complex lnGamma is Lanczos's form on
-the node arrays (`_lngamma_parts`); the two points above the line that
-size its step take Stirling's series (`_lngamma_up`).  Numpy holds only
-the node arrays and their sums; the rest of a call runs on Python floats
-and complex numbers, where numpy's per-call cost would dominate at these
-sizes.
+`_mb_integral` is that rule, and the package's only quadrature, in three
+stages: `_line_plan` places the line and sizes its nodes on Python floats
+(digamma from `_psi`, two probe points on Stirling's series, `_lngamma_up`),
+where numpy's per-call cost would dominate; `_line_nodes` takes a chunk of
+nodes, a numpy array, on Lanczos's lnGamma (`_lngamma_parts`); `_line_sum`
+sums them on the step and on twice the step, whose gap is the estimate.
 `_pointwise` checks every point of a scalar or array argument and then
 evaluates them one at a time, so the two agree bit for bit.
 
@@ -52,6 +44,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,13 +87,10 @@ _GUARD_REL = 3e-4
 # Target size of the discretization and truncation errors of a line
 # integral, relative to the integrand's peak on the line; the half-width of
 # the trapezoidal rule's strip, as a fraction of the distance from the line
-# to the nearest pole; the share of the integrand's fall up the line, the
-# smaller of its rate at the probe's height and its average below it, that
-# its growth across the line may take along the edge of the sinh-mapped
-# strip (tan eta = _MB_ANGLE * min(fall, avg) / rise, or half the fall rate
-# where that is wider; see _mb_integral); the node count beyond which an
-# evaluation refuses; the iteration cap of the saddle search, and the Newton
-# step, relative to 1 + |c|, that it takes as its last.
+# to the nearest pole; the share of the integrand's fall up the line that
+# its growth across it may take (see _line_plan); the node count beyond
+# which an evaluation refuses; the iteration cap of the saddle search, and
+# the Newton step, relative to 1 + |c|, that it takes as its last.
 _MB_TOL = 1e-17
 _MB_STRIP = 0.9
 _MB_ANGLE = 0.9
@@ -483,8 +473,8 @@ def _lngamma_parts(zk, reflect):
 
 class _GammaKernel:
     """log K(s) = s log_scale + log_norm + sum_rows power lnGamma(base + sign s)
-    - sum ln(xi + s), sign and power +-1: the integrand that _mb_integral
-    sums, a Meijer G's Phi(s) and the Mellin transform E[Z^s] of the
+    - sum ln(xi + s), sign and power +-1: the integrand of every line
+    integral, a Meijer G's Phi(s) and the Mellin transform E[Z^s] of the
     composite channel alike.  Rows are merged per distinct (base, sign),
     which identical links repeat, into `plus` (sign +1) and `minus` (sign
     -1) with their net powers.  lnGamma is taken once per distinct pair.
@@ -497,16 +487,17 @@ class _GammaKernel:
     is built here, once per kernel.  The kernel lists no poles: each caller
     of _mb_integral gives the edges of its strip, the poles that bound it.
 
-    K has two complex forms.  `fused` takes it on an array, on the Lanczos
+    `fused`, which _line_nodes reads, takes K on an array, on the Lanczos
     lnGamma: the factors whose logs a sum of lnGamma values would add up
     (the rows' Lanczos sums, the pointing rows and a caller's factor) are
     multiplied into one array, which multiplies the exponential of the rest,
     the rows' (z - 1/2) ln(z + 6.5) and the terms linear in s of all rows,
     summed once, here; so no complex log is taken of the product only for
-    the sum to exponentiate it again.  `log_probe` takes it at one point
-    above the real axis on Python complex numbers, on `_lngamma_up`,
-    continuous along a horizontal segment and accurate to about 1e-7, which
-    is all the rates that _mb_integral reads off two such points need."""
+    the sum to exponentiate it again.  `log_probe`, which _line_plan reads
+    with the real slices, takes it at one point above the real axis on
+    Python complex numbers, on `_lngamma_up`, continuous along a horizontal
+    segment and accurate to about 1e-7, which is all the rates that
+    _line_plan reads off two such points need."""
 
     def __init__(self, rows, xis=(), log_scale=0.0):
         power = {}  # net power per (base, sign)
@@ -649,15 +640,14 @@ def _saddle(kern, lx, lo, hi, c, pole):
     taken if it stays in the bracket, unchecked, with the curvature of the
     point it starts from (the line only has to sit near the saddle, and
     Newton's error after it is of the order of its square).  A slope or
-    curvature that is not finite raises AccuracyError.
+    curvature that is not finite ends the search with curvature NaN.
     """
     left, right = lo, hi
     c = kern.start(lx, lo, hi, c, pole)
     for _ in range(_SADDLE_ITERS):
         g, g2 = kern.slopes(c, lx, pole)
         if not (math.isfinite(g) and math.isfinite(g2)):
-            raise AccuracyError(
-                f"Mellin-Barnes integrand has no saddle on a line (ln x = {lx:.6g})")
+            return c, math.nan
         if g < 0.0:
             lo = c
         else:
@@ -671,26 +661,20 @@ def _saddle(kern, lx, lo, hi, c, pole):
     return c, g2
 
 
-def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
-    """e^lead / pi int_0^inf Re[x^-s M(s) / s^pole] dt on a vertical line in
-    the pole-free strip lo < Re s < hi, at ln x = lx: (value, error
-    estimate).  The factor e^lead enters the log of the scale before it is
-    exponentiated, so a value it brings back from below the smallest double
-    keeps its digits.
+# A line as _line_plan places it (see there); n is the first chunk's length, 0 for none
+_LinePlan = NamedTuple("_LinePlan", [
+    ("lx", float), ("c", float), ("pole", bool), ("peak", float), ("a", float),
+    ("eta", float), ("w", float), ("h", float), ("edge", float), ("n", int)])
 
-    The strip's finite edges are poles of the integrand, the nearest to the
-    line; between them the strip may lie left of some Gamma poles, as the
-    remainder line of z_cdf_asymptotic does.  The _GammaKernel gives log M
-    at a complex point above the real axis on its principal branch
-    (`log_probe`, to about 1e-7), M itself on a complex array, scaled by
-    e^-peak (`fused`), the real slice log|x^-c M(c) / c^pole| and its first
-    two derivatives in c on floats (`log_size`, `slopes`), the rate at which
-    |M(c + it)| falls in |t| far up the line (`decay`), and where in the
-    strip the saddle search starts (`start`, from c).  Where the search
-    meets a pole of the real slice, or no minimum, the call refuses.  Every
-    quantity depends on (kernel, lx) alone, so scalar and array callers
-    agree bit for bit.  Where the peak on the line proves the value zero in
-    double precision (_MB_LOG_ZERO), it is returned without nodes.
+
+def _line_plan(kern, lx, lo, hi, c, pole):
+    """The _LinePlan of _mb_integral's line in the strip lo < Re s < hi at
+    ln x = lx, on floats.  The strip's finite edges are the poles nearest
+    the line; it may lie left of other Gamma poles, as the remainder line of
+    z_cdf_asymptotic does.  Where the saddle search meets a pole of the real
+    slice, or no minimum, the plan refuses.  It depends on (kernel, lx)
+    alone, so scalar and array callers agree bit for bit.  Where the peak
+    proves the value zero in double precision (_MB_LOG_ZERO), it has no nodes.
 
     The rule is the trapezoidal one in u, with t = w sinh(u): steps as fine
     as a uniform rule's across the peak at t = 0, growing geometrically
@@ -723,41 +707,36 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     the angle is the wider of the two, that one alone where avg is not
     positive or NaN.  The ratio is over max(rise, fall), so tan eta is at
     most _MB_ANGLE.
+
+    Past the peak log|integrand| falls almost linearly in t.  The first
+    chunk reaches two nodes past where it crosses the floor on the line
+    through its value at height T, weight ln(1 + (t / w)^2) / 2 included, at
+    the fall rate there (min(cap, .) also absorbs a NaN or infinite reach).
     """
     try:
         c, curv = _saddle(kern, lx, lo, hi, c, pole)
         peak = kern.log_size(c, lx, pole)
+        if not curv > 0.0:
+            raise ValueError("no minimum")
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        # a pole of digamma or lnGamma met by the search, or lnGamma beyond
-        # the largest double
+        # a pole of digamma or lnGamma met by the search, or an overflowing lnGamma
         raise AccuracyError(
-            f"Mellin-Barnes integrand has no saddle on a line (ln x = {lx:.6g})"
-        ) from exc
-    if not curv > 0.0:
-        raise AccuracyError(
-            f"Mellin-Barnes integrand has no saddle on a line (ln x = {lx:.6g})")
+            f"Mellin-Barnes integrand has no saddle on a line (ln x = {lx:.6g})") from exc
     if peak < _MB_LOG_ZERO:
         # Far out the saddle line has no digits left to size a step from,
-        # and the value is zero anyway: signed as the integrand at the peak.
-        return (math.copysign(0.0, c) if pole else 0.0), 0.0
-    near = min(c - lo, hi - c)
-
-    # The integrand is analytic in the region and bounded there by its real
-    # value at c +- a, so the discretization error falls like
-    # exp(-2 pi eta / h) times that bound; the node count grows like
-    # (edge - peak + budget) / eta.  Any a short of the nearest pole is
-    # valid, and edge - peak grows only like ln(1 / (1 - a / d)) at distance
-    # d, so a reaches _MB_STRIP of the way to the pole.  It grows no wider
-    # than where the bound grows by 1/_MB_TOL through the curvature at the
-    # saddle (wider strips only lengthen the sum).
+        # and the value is zero anyway: no nodes
+        return _LinePlan(lx, c, pole, peak, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    # The node count grows like (edge - peak + budget) / eta.  Any a short
+    # of the nearest pole is valid, and edge - peak grows only like
+    # ln(1 / (1 - a / d)) at distance d, so a reaches _MB_STRIP of the way to
+    # the pole, but no wider than where the bound grows by 1/_MB_TOL through
+    # the curvature at the saddle (wider strips only lengthen the sum).
     budget = 1.0 - math.log(_MB_TOL)
     width = math.sqrt(2.0 * budget / curv)
-    a = min(_MB_STRIP * near, width)
-    # the integrand at c -+ a on the real axis (the float slice) and at the
-    # height T where `decay` has spent the budget: across the strip at
-    # height T the real part of the change of its log is the growth across
-    # the line, the imaginary part (Cauchy-Riemann) the fall up it over the
-    # same distance, which needs every log on its principal branch
+    a = min(_MB_STRIP * min(c - lo, hi - c), width)
+    # across the strip at height T the real part of the change of the log
+    # is the growth across the line, the imaginary part (Cauchy-Riemann) the
+    # fall up it over the same distance: every log on its principal branch
     top = width + budget / kern.decay
     s2, s3 = complex(c - a, top), complex(c + a, top)
     try:
@@ -784,26 +763,53 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
     eta = math.atan(spend / max(rise, fall))
     w = a / math.sin(eta)
     h = 2.0 * math.pi * eta / (edge - peak + budget)
-    # |integrand| decreases in |t|: add nodes until it drops below the floor.
-    # Past the peak log|integrand| falls almost linearly in t.  The first
-    # chunk reaches two nodes past where it crosses the floor on the line
-    # through its value at height T, weight log cosh(u) = ln(1 + (t / w)^2)
-    # / 2 included, at the fall rate there (min(cap, .) also absorbs a NaN
-    # or infinite reach); a chunk that falls short is followed by one twice
-    # its size.  The sum stops at the first node below the floor, so the
-    # chunking never changes the value.
     floor = peak + math.log(_MB_TOL)
     at_top = 0.5 * (v2.real + v3.real + math.log1p((top / w) ** 2))
     reach = math.asinh(max(top + (at_top - floor) * 2.0 * a / fall, 0.0) / w)
-    chunks, k0 = [], 0
-    n = int(min(_MB_MAX_NODES, reach / h)) + 3
-    while True:
+    return _LinePlan(lx, c, pole, peak, a, eta, w, h, edge, int(min(_MB_MAX_NODES, reach / h)) + 3)
+
+
+def _line_nodes(kern, plan, k0, n):
+    """The integrand on the nodes u = k h, k0 <= k < k0 + n, of the plan's
+    line, scaled by e^-peak, times the weight dt/du = w cosh(u) less its
+    factor w, which the sum's scale takes."""
+    u = plan.h * np.arange(k0, k0 + n)
+    s = 1j * plan.w * np.sinh(u) + plan.c
+    weight = np.cosh(u)
+    return kern.fused(s, plan.lx, weight / s if plan.pole else weight, plan.c, plan.c, plan.peak)
+
+
+def _line_sum(plan, values, lead):
+    """(value, error estimate) times e^lead from the node chunks `values`,
+    cut at the floor: the trapezoidal sum on the step h and its gap to the
+    sum on 2h; no chunks sum to zero, signed as the integrand at the peak.
+    e^lead enters the log of the scale, so a value it brings back from below
+    the smallest double keeps its digits; beyond the largest it refuses."""
+    if not values:
+        return (math.copysign(0.0, plan.c) if plan.pole else 0.0), 0.0
+    re = (values[0] if len(values) == 1 else np.concatenate(values)).real
+    head = 0.5 * re.item(0)
+    fine = head + float(np.add.reduce(re[1:]))
+    coarse = 2.0 * (head + float(np.add.reduce(re[2::2])))
+    try:
+        scale = plan.h * plan.w / math.pi * math.exp(plan.peak + lead)
+    except OverflowError:
+        raise AccuracyError(f"Mellin-Barnes integral overflows a double (ln x = {plan.lx:.6g})") from None
+    return scale * fine, scale * abs(fine - coarse)
+
+
+def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
+    """e^lead / pi int_0^inf Re[x^-s M(s) / s^pole] dt on a vertical line in
+    the pole-free strip lo < Re s < hi, at ln x = lx: (value, error
+    estimate).  |integrand| decreases in |t|: chunks of nodes, the plan's
+    first, then each twice the last, are added until it drops below the
+    floor, _MB_TOL of the peak, up to _MB_MAX_NODES nodes.  The sum stops at
+    the first node there, so the chunking never changes the value."""
+    plan = _line_plan(kern, lx, lo, hi, c, pole)
+    chunks, k0, n = [], 0, plan.n
+    while n:
         n = min(n, _MB_MAX_NODES - k0)
-        u = h * np.arange(k0, k0 + n)
-        # the weight dt/du = w cosh(u), its factor w taken out into the scale
-        s = 1j * w * np.sinh(u) + c
-        weight = np.cosh(u)
-        v = kern.fused(s, lx, weight / s if pole else weight, c, c, peak)
+        v = _line_nodes(kern, plan, k0, n)
         below = np.abs(v) < _MB_TOL  # the floor, on nodes scaled by e^-peak
         if not k0:
             below[0] = False  # node 0 is the peak itself
@@ -818,12 +824,7 @@ def _mb_integral(kern, lx, lo, hi, c, pole, lead=0.0):
                 f"Mellin-Barnes integral needs more than {_MB_MAX_NODES} nodes "
                 f"(ln x = {lx:.6g})")
         n *= 2
-    re = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).real
-    head = 0.5 * re.item(0)
-    fine = head + float(np.add.reduce(re[1:]))
-    coarse = 2.0 * (head + float(np.add.reduce(re[2::2])))
-    scale = h * w / math.pi * math.exp(peak + lead)
-    return scale * fine, scale * abs(fine - coarse)
+    return _line_sum(plan, chunks, lead)
 
 
 @dataclass(frozen=True)

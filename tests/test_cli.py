@@ -255,6 +255,13 @@ class TestConfigParsing:
                                               f"turbulence = weak\n{key} = 3.0"))
         assert (info.value.section, info.value.key) == ("link.1", "turbulence")
 
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_one_shape_alone_rejected(self, key):
+        # the link used to stay a geometry link, with the shape unread
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(MINIMAL.replace("alpha = 4.942\nbeta = 1.231", f"{key} = 2.0\ndistance = 1e3"))
+        assert (info.value.section, info.value.key) == ("link.2", "alpha/beta")
+
     SWEEP_SETS = {
         "snr_db": {("transceiver", "snr_ratio_db")},
         "gamma_th_db": {("transceiver", "gamma_th_db")},
@@ -603,6 +610,13 @@ class TestMainExitCodes:
         path.write_text(write_config(_refusing_at_first_point(monkeypatch)))
         assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 3
         assert "accuracy failure at sweep_value=10" in capsys.readouterr().err
+
+    def test_eval_beyond_the_largest_double_exits_3(self, tmp_path, capsys):
+        # the density of (0.01, 3.0)·(4.942, 1.231) at 5e-324 is about e^731
+        path = tmp_path / "tiny_shape.cfg"
+        path.write_text(MINIMAL.replace("turbulence = weak", "alpha = 0.01\nbeta = 3.0"))
+        assert main(["eval", str(path), "--quantity", "pdf", "--at", "5e-324"]) == 3
+        assert "accuracy failure: Mellin-Barnes integral overflows" in capsys.readouterr().err
 
     def test_db_overflow_at_sweep_point_exits_2(self, tmp_path, capsys):
         # 10^(3204/10) overflows a double; 3204 dB is the first such point

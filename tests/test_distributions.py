@@ -552,6 +552,12 @@ class TestAsymptote:
             z_cdf_asymptotic(ch, x)
         assert z_cdf(ch, x) == pytest.approx(exact, rel=0.05)
 
+    def test_remainder_overflow_named(self):
+        # the remainder line's scale at x = 1e300 exceeds the largest double
+        ch = CompositeProduct((GammaGammaParams(1025.3062415742763, 984.8015550453262),) * 2)
+        with pytest.raises(AccuracyError, match=r"overflows a double \(ln x = 690.776\)"):
+            z_cdf_asymptotic(ch, 1e300)
+
     def test_pointing_moment_overflow_refuses(self):
         # x is 1e197 times the scale A_o of Z, far outside the power-law
         # regime: the residues grow past the strip (the sum is taken in log
@@ -629,44 +635,16 @@ class TestSampling:
 
 
 def _doubling_reference(law, lx, kind):
-    """The line integral on the mapped nodes t = w sinh(k h), evaluated in
-    chunks of 64, 128, ... nodes and refused once 2^16 nodes have been
-    passed: the strip's edge on the real axis from the law's float slice,
-    its two top corners in the law's probe form, the chunks in its fused
-    form.  Returns (value, error estimate, nodes summed)."""
-    pole = kind != "f"
-    sign = -1.0 if kind == "F" else 1.0
-    if kind == "F":
-        lo, hi = -law.b_min, 0.0
-        c, curv = specfun._saddle(law, lx, lo, hi, -0.5 * law.b_min, True)
-    else:
-        lo, hi = (0.0 if pole else -law.b_min), math.inf
-        c, curv = specfun._saddle(law, lx, lo, hi, 1.0 if pole else 0.0, pole)
-    peak = law.log_size(c, lx, pole)
-    if peak < specfun._MB_LOG_ZERO:
-        return sign * (math.copysign(0.0, c) if pole else 0.0), 0.0, 0
-
-    def log_integrand(s):
-        logv = law.log_probe(s) - s * lx
-        return logv - cmath.log(s) if pole else logv
-
-    budget = 1.0 - math.log(specfun._MB_TOL)
-    width = math.sqrt(2.0 * budget / curv)
-    a = min(specfun._MB_STRIP * min(c - lo, hi - c), width)
-    top = 1j * (width + budget / law.decay)
-    edge = max(law.log_size(c - a, lx, pole), law.log_size(c + a, lx, pole))
-    left, right = log_integrand(c - a + top), log_integrand(c + a + top)
-    rise, fall = abs((right - left).real), (right - left).imag
-    avg = (peak - 0.5 * (left.real + right.real)) * 2.0 * a / top.imag
-    spend = max(0.5 * fall, specfun._MB_ANGLE * min(fall, avg)) if avg > 0.0 else 0.5 * fall
-    eta = math.atan(spend / max(rise, fall))
-    w = a / math.sin(eta)
-    h = 2.0 * math.pi * eta / (edge - peak + budget)
+    """The line integral on the nodes of specfun's plan for the line,
+    evaluated in chunks of 64, 128, ... nodes, cut at the first node below
+    the floor and refused once 2^16 nodes have been passed, and summed by
+    specfun's sum.  Returns (value, error estimate, nodes summed)."""
+    strip = {"F": (-law.b_min, 0.0, -0.5 * law.b_min, True), "Q": (0.0, math.inf, 1.0, True),
+             "f": (-law.b_min, math.inf, 0.0, False)}[kind]
+    plan = specfun._line_plan(law, lx, *strip)
     chunks, k0, n = [], 0, 64
-    while True:
-        u = h * np.arange(k0, k0 + n)
-        s = 1j * w * np.sinh(u) + c
-        v = law.fused(s, lx, np.cosh(u) / s if pole else np.cosh(u), c, c, peak)
+    while plan.n:  # a plan without nodes has the value zero
+        v = specfun._line_nodes(law, plan, k0, n)
         small = np.abs(v) < specfun._MB_TOL
         small[0] &= k0 > 0
         if small.any():
@@ -676,11 +654,8 @@ def _doubling_reference(law, lx, kind):
         k0, n = k0 + n, 2 * n
         if k0 >= 1 << 16:
             raise AccuracyError("node cap")
-    re = np.concatenate(chunks).real
-    fine = 0.5 * re[0] + np.sum(re[1:])
-    coarse = 2.0 * (0.5 * re[0] + np.sum(re[2::2]))
-    scale = h * w / math.pi * math.exp(peak)
-    return sign * scale * fine, scale * abs(fine - coarse), re.size
+    val, err = specfun._line_sum(plan, chunks, 0.0)
+    return (-val if kind == "F" else val), err, sum(v.size for v in chunks)
 
 
 def _outcome(fn, *args):
@@ -1096,6 +1071,11 @@ class TestSubnormalScale:
         # underflows to zero, which bounds nothing
         with pytest.raises(AccuracyError):
             z_pdf(CompositeProduct((WEAK,)), 1e-160)
+
+    def test_pdf_beyond_the_largest_double_refuses(self):
+        # f(5e-324) of (0.01, 3.0) is about x^-0.99 / 200 = e^732
+        with pytest.raises(AccuracyError, match=r"overflows a double \(ln x = -744.44\)"):
+            z_pdf(CompositeProduct((GammaGammaParams(0.01, 3.0),)), 5e-324)
 
 
 class TestMellinLawSlices:

@@ -389,6 +389,11 @@ class TestMeijerGOracle:
         with pytest.raises(AccuracyError):
             meijer_g(spec, 1e-260)
 
+    def test_overflow_refused(self):
+        # G = x^-0.99 e^-x is about e^737 at x = 5e-324
+        with pytest.raises(AccuracyError, match="overflows a double"):
+            meijer_g(MeijerGSpec(1, 0, 0, 1, (), (-0.99,)), 5e-324)
+
     def test_no_saddle_refused(self):
         # 1/Gamma(0.1 + s) vanishes inside the strip, so the real integrand
         # has no minimum to place the line at
