@@ -138,21 +138,10 @@ class TransceiverConfig:
 class AtmosphereConfig:
     cn2: float | None = None
     wavelength: float | None = None
-    alpha_weather_db_km: float = 0.0
-    rho: float = 1.0
     temperature: float = 296.0
     pressure: float = 101325.0
     humidity: float = 50.0
     frequency: float | None = None
-
-    def __post_init__(self):
-        # Parsed for the config grammar, but no scenario's SNR uses them: the
-        # FSO SNR is snr_ratio_db as given.  A non-default value would be
-        # silently ignored, so it is refused.
-        for key, default in (("alpha_weather_db_km", 0.0), ("rho", 1.0)):
-            if getattr(self, key) != default:
-                raise ConfigError("atmosphere", key,
-                                  f"the FSO SNR does not use it; leave it at {default:g}")
 
 
 @dataclass(frozen=True)
@@ -454,7 +443,6 @@ def _thz_atmosphere(cfg: ScenarioConfig):
         temperature=a.temperature,
         pressure=a.pressure,
         humidity=a.humidity,
-        cn2_override=a.cn2,
     )
 
 
@@ -603,117 +591,27 @@ def evaluate(cfg: ScenarioConfig, quantity, at=None):
 
 
 # ----------------------------------------------------------------------
-# Shipped figure recipes
+# Shipped figure recipes: the .cfg files here are their only definition
 
-def _direct_link(preset, **kw):
-    gg = TURBULENCE_PRESETS[preset]
-    return LinkConfig(alpha=gg.alpha, beta=gg.beta, **kw)
-
-
-def _fig_recipes():
-    weak = TURBULENCE_PRESETS["weak"]
-    snr = SweepConfig("snr_db", 10.0, 40.0, 13, "db")
-    pe_geom = dict(aperture=0.05, beam_waist=0.1, jitter=0.005, misaligned=True)
-    thz_pe = dict(aperture=0.025, beam_waist=0.0125, misaligned=True)
-    recipes = {}
-
-    for name, pa, pb in (("fig3_weak_weak", "weak", "weak"),
-                         ("fig3_weak_strong", "weak", "strong"),
-                         ("fig3_moderate_moderate", "moderate", "moderate"),
-                         ("fig3_strong_strong", "strong", "strong")):
-        recipes[name] = ScenarioConfig(
-            "fso_cascade", (_direct_link(pa), _direct_link(pb)),
-            AtmosphereConfig(), TransceiverConfig(snr_ratio_db=35.0),
-            SweepConfig("snr_db", 20.0, 40.0, 11, "db"))
-    for n in (2, 3):
-        for preset in ("weak", "strong"):
-            recipes[f"fig4_{preset}_n{n}"] = ScenarioConfig(
-                "fso_cascade", tuple(_direct_link(preset) for _ in range(n)),
-                AtmosphereConfig(), TransceiverConfig(snr_ratio_db=40.0), snr)
-    recipes["fig5"] = ScenarioConfig(
-        "fso_cascade",
-        (LinkConfig(alpha=weak.alpha, beta=weak.beta, **pe_geom),
-         LinkConfig(alpha=weak.alpha, beta=weak.beta, **pe_geom)),
-        AtmosphereConfig(), TransceiverConfig(snr_ratio_db=40.0),
-        SweepConfig("jitter_1", 0.005, 0.03, 11, "linear"))
-    for (n, l) in ((2, 1), (3, 2)):
-        links = tuple(
-            LinkConfig(alpha=weak.alpha, beta=weak.beta,
-                       **(pe_geom if i < l else {}))
-            for i in range(n)
-        )
-        recipes[f"fig6_n{n}_l{l}"] = ScenarioConfig(
-            "fso_cascade", links, AtmosphereConfig(),
-            TransceiverConfig(snr_ratio_db=35.0),
-            SweepConfig("snr_db", 20.0, 35.0, 7, "db"))
-    for preset in ("weak", "strong"):
-        recipes[f"fig7_{preset}"] = ScenarioConfig(
-            "fso_parallel",
-            (_direct_link(preset, **pe_geom), _direct_link(preset, **pe_geom)),
-            AtmosphereConfig(), TransceiverConfig(snr_ratio_db=30.0, branches=2),
-            SweepConfig("snr_db", 26.0, 40.0, 8, "db"))
-    for n, lo, hi in ((1, 10.0, 40.0), (2, 26.0, 40.0), (3, 36.0, 44.0)):
-        recipes[f"fig8_n{n}"] = ScenarioConfig(
-            "fso_parallel",
-            (_direct_link("weak", **pe_geom), _direct_link("weak", **pe_geom)),
-            AtmosphereConfig(), TransceiverConfig(snr_ratio_db=30.0, branches=n),
-            SweepConfig("snr_db", lo, hi, 7, "db"))
-    recipes["fig9"] = ScenarioConfig(
-        "thz_cascade",
-        (LinkConfig(distance=100.0, aperture=0.0),
-         LinkConfig(distance=200.0, aperture=0.0)),
-        AtmosphereConfig(cn2=2.3e-9, frequency=300e9),
-        TransceiverConfig(snr_ratio_db=25.0),
-        SweepConfig("distance_2", 100.0, 200.0, 11, "linear"))
-    recipes["fig10_n3"] = ScenarioConfig(
-        "thz_cascade",
-        tuple(LinkConfig(distance=100.0, jitter=0.01, **thz_pe) for _ in range(3)),
-        AtmosphereConfig(cn2=2.3e-9, frequency=300e9),
-        TransceiverConfig(snr_ratio_db=30.0),
-        SweepConfig("jitter", 0.001, 0.1, 9, "log"))
-    recipes["fig11"] = ScenarioConfig(
-        "thz_cascade",
-        (LinkConfig(distance=100.0, aperture=0.0),
-         LinkConfig(distance=100.0, aperture=0.0)),
-        AtmosphereConfig(cn2=2.3e-9, frequency=300e9),
-        TransceiverConfig(power_dbw=0.0, bandwidth=50e9, noise_figure_db=9.0,
-                          gain_tx_dbi=50.0, gain_rx_dbi=50.0, gamma_th_db=4.77),
-        SweepConfig("frequency", 180e9, 500e9, 65, "linear"))
-    recipes["fig12"] = ScenarioConfig(
-        "thz_cascade",
-        tuple(LinkConfig(distance=100.0, jitter=0.001, **thz_pe) for _ in range(2)),
-        AtmosphereConfig(cn2=2.3e-9, frequency=300e9),
-        TransceiverConfig(snr_ratio_db=25.0, kappa_r=0.2),
-        SweepConfig("kappa_t", 0.0, 0.5, 11, "linear"))
-    for name, kt, kr, gth in (("fig13_ideal", 0.0, 0.0, 0.0),
-                              ("fig13_worst", 0.4, 0.4, 0.0),
-                              ("fig13_ceiling", 0.4, 0.4, 10.0)):
-        recipes[name] = ScenarioConfig(
-            "thz_cascade",
-            tuple(LinkConfig(distance=100.0, jitter=0.001, **thz_pe)
-                  for _ in range(2)),
-            AtmosphereConfig(cn2=2.3e-9, frequency=300e9),
-            TransceiverConfig(snr_ratio_db=20.0, kappa_t=kt, kappa_r=kr,
-                              gamma_th_db=gth),
-            SweepConfig("snr_db", 0.0, 40.0, 9, "db"))
-    return recipes
+_RECIPES = os.path.join(os.path.dirname(__file__), "recipes")
 
 
 def generate_recipes(directory):
-    """Write every shipped figure recipe as a .cfg file under `directory`."""
+    """Write every shipped figure recipe, in write_config's canonical form,
+    as a .cfg file under `directory`; returns the paths in name order."""
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for name, cfg in sorted(_fig_recipes().items()):
-        path = os.path.join(directory, f"{name}.cfg")
+    for name in sorted(n for n in os.listdir(_RECIPES) if n.endswith(".cfg")):
+        path = os.path.join(directory, name)
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(write_config(cfg))
+            fh.write(write_config(parse_config(os.path.join(_RECIPES, name))))
         paths.append(path)
     return paths
 
 
 def recipe_path(name):
     """Path of a shipped figure recipe by name (e.g. 'fig9')."""
-    return os.path.join(os.path.dirname(__file__), "recipes", f"{name}.cfg")
+    return os.path.join(_RECIPES, f"{name}.cfg")
 
 
 # ----------------------------------------------------------------------

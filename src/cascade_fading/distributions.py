@@ -37,7 +37,6 @@ same rule.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -72,9 +71,6 @@ __all__ = [
 # _GUARD_REL: the PDF's relative one, and the CDF's absolute slack.
 _GUARD_REL_PDF = 2e-3
 _GUARD_ABS = 1e-9
-
-# The log of the largest double: a density beyond it is returned as inf.
-_LOG_MAX = math.log(sys.float_info.max)
 
 # z_cdf_asymptotic: the refusal guard on its error estimate, relative; how
 # far past the first gamma pole to search for the poles it keeps.
@@ -385,7 +381,8 @@ def gg_pdf(p: GammaGammaParams, x):
     K_(mu+1) / K_mu, which it keeps to a few ulp (K grows with the order).
     Past z ~ 1e9, where scipy gives NaN, K_nu(z) e^z is sqrt(pi / 2z) to
     within (4 nu^2 - 1) / 8z (DLMF 10.40.2); e^-z makes the density zero
-    there unless s exceeds about 1e7."""
+    there unless s exceeds about 1e7.  A density beyond the largest double
+    raises AccuracyError, as z_pdf's does."""
     # imported here: scipy.special costs more import time than the rest of
     # the package, and no recipe needs it
     from scipy.special import kve
@@ -415,7 +412,11 @@ def gg_pdf(p: GammaGammaParams, x):
         else:
             log_k = 0.5 * math.log(0.5 * math.pi / z)
         log_f = log_c + (s - 1.0) * math.log(v) + log_k - z
-        return math.exp(log_f) if log_f < _LOG_MAX else math.inf
+        try:
+            return math.exp(log_f)
+        except OverflowError:
+            raise AccuracyError(
+                f"gamma-gamma density overflows a double (ln x = {math.log(v):.6g})") from None
 
     return _pointwise(at, x)
 

@@ -791,10 +791,21 @@ def _line_sum(plan, values, lead):
     head = 0.5 * re.item(0)
     fine = head + float(np.add.reduce(re[1:]))
     coarse = 2.0 * (head + float(np.add.reduce(re[2::2])))
+    step = plan.h * plan.w / math.pi
     try:
-        scale = plan.h * plan.w / math.pi * math.exp(plan.peak + lead)
+        scale = step * math.exp(plan.peak + lead)
     except OverflowError:
-        raise AccuracyError(f"Mellin-Barnes integral overflows a double (ln x = {plan.lx:.6g})") from None
+        # e^(peak + lead) alone passes the largest double, but times the
+        # small h w / pi the value may not: take it in two halves
+        try:
+            half = math.exp(0.5 * (plan.peak + lead))
+        except OverflowError:
+            half = math.inf
+        value, err = half * (step * fine) * half, half * (step * abs(fine - coarse)) * half
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise AccuracyError(
+                f"Mellin-Barnes integral overflows a double (ln x = {plan.lx:.6g})") from None
+        return value, err
     return scale * fine, scale * abs(fine - coarse)
 
 

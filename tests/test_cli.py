@@ -18,7 +18,6 @@ from cascade_fading.cli import (
     ScenarioConfig,
     SweepConfig,
     TransceiverConfig,
-    _fig_recipes,
     build_product,
     evaluate,
     generate_recipes,
@@ -31,6 +30,9 @@ from cascade_fading.cli import (
 )
 from cascade_fading.mc import mc_cdf, mc_op_parallel, mc_op_thz
 from cascade_fading.specfun import AccuracyError
+
+# the names of the shipped recipes, which are defined by their .cfg files alone
+RECIPES = sorted(f[:-4] for f in os.listdir(os.path.dirname(recipe_path("fig9"))))
 
 MINIMAL = """
 [config]
@@ -130,7 +132,7 @@ def _count_draws(monkeypatch):
 
 
 def _low_snr_fig7_weak():
-    cfg = _fig_recipes()["fig7_weak"]
+    cfg = parse_config(recipe_path("fig7_weak"))
     return replace(cfg, sweep=replace(cfg.sweep, start=10.0, stop=12.0, points=2))
 
 
@@ -164,13 +166,16 @@ class TestConfigParsing:
         assert parse_config_text(write_config(cfg)) == cfg
 
     def test_all_recipes_round_trip(self):
-        for name, cfg in _fig_recipes().items():
+        for name in RECIPES:
+            cfg = parse_config(recipe_path(name))
             again = parse_config_text(write_config(cfg), source=name)
             assert again == cfg, name
 
     def test_shipped_recipe_files_match_generator(self, tmp_path):
-        generate_recipes(tmp_path)
-        for name in _fig_recipes():
+        # each shipped file is in write_config's canonical form
+        paths = generate_recipes(tmp_path)
+        assert paths == [str(tmp_path / f"{name}.cfg") for name in RECIPES]
+        for name in RECIPES:
             with open(recipe_path(name)) as fh:
                 shipped = fh.read()
             with open(tmp_path / f"{name}.cfg") as fh:
@@ -216,10 +221,6 @@ class TestConfigParsing:
             new = not old
         else:
             new = 0.375 if old is None else old + 2
-        if key in ("rho", "alpha_weather_db_km"):  # refused away from the default
-            with pytest.raises(ConfigError):
-                replace(part, **{key: new})
-            return
         part = replace(part, **{key: new})
         cfg = (replace(cfg, links=(cfg.links[0], part)) if cls is LinkConfig
                else replace(cfg, **{self.PARTS[cls]: part}))
@@ -432,7 +433,7 @@ class TestRun:
             "perturbed" if inner(scans[0]) else "clean"}
 
     def test_changing_channel_tallied_per_point(self, monkeypatch):
-        cfg = _fig_recipes()["fig5"]
+        cfg = parse_config(recipe_path("fig5"))
         r = 10.0 ** (cfg.transceiver.snr_ratio_db / 10.0)
         expected = []
         for v in cfg.sweep.grid():
@@ -627,20 +628,13 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "sweep_value=3204" in err and "snr_ratio_db" in err
 
-    @pytest.mark.parametrize("key,used,default", [
-        ("rho", 0.7, 1.0), ("alpha_weather_db_km", 0.43, 0.0)])
-    def test_unused_atmosphere_field_exits_2(self, key, used, default, tmp_path, capsys):
-        path = tmp_path / "weather.cfg"
-        path.write_text(f"{MINIMAL}\n[atmosphere]\n{key} = {used}\n")
-        assert main(["run", str(path)]) == 2
-        assert f"[atmosphere] {key}" in capsys.readouterr().err
-        parse_config_text(f"{MINIMAL}\n[atmosphere]\n{key} = {default}\n")
-
+    # a misspelt field would otherwise run with its default; rho and
+    # alpha_weather_db_km are FSO weather fields that no scenario's SNR reads
     @pytest.mark.parametrize("section,key", [
         ("config", "senario"), ("sweep", "point"), ("transceiver", "kappa_tt"),
-        ("atmosphere", "cn_2"), ("link.1", "misalinged"), ("link.2", "omgea")])
+        ("atmosphere", "cn_2"), ("atmosphere", "rho"), ("atmosphere", "alpha_weather_db_km"),
+        ("link.1", "misalinged"), ("link.2", "omgea")])
     def test_unknown_field_exits_2(self, section, key, tmp_path, capsys):
-        # a misspelt field would otherwise run with its default
         text = f"{MINIMAL}\n[atmosphere]\n"
         path = tmp_path / "typo.cfg"
         path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
@@ -680,7 +674,7 @@ class TestMainExitCodes:
         assert "config error: [-] --at:" in capsys.readouterr().err
 
     def test_domain_error_at_sweep_point_exits_2(self, tmp_path, capsys):
-        cfg = _fig_recipes()["fig5"]
+        cfg = parse_config(recipe_path("fig5"))
         path = tmp_path / "zero_jitter.cfg"
         path.write_text(write_config(
             replace(cfg, sweep=replace(cfg.sweep, start=0.0))))

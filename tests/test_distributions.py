@@ -1077,6 +1077,23 @@ class TestSubnormalScale:
         with pytest.raises(AccuracyError, match=r"overflows a double \(ln x = -744.44\)"):
             z_pdf(CompositeProduct((GammaGammaParams(0.01, 3.0),)), 5e-324)
 
+    def test_pdf_near_the_largest_double(self):
+        # f = 6.7e305 here, but e^(peak) alone, before h w / pi, overflows
+        p = GammaGammaParams(0.01, 3.0)
+        x = math.exp(-716.0)
+        assert z_pdf(CompositeProduct((p,)), x) == pytest.approx(
+            mpmath_gg_pdf(p, x), rel=1e-13, abs=0.0)
+
+    def test_pdf_just_past_the_largest_double_refuses(self):
+        # f(e^-722) of (0.01, 3.0) is about 2.6e308
+        with pytest.raises(AccuracyError, match=r"overflows a double \(ln x = -722\)"):
+            z_pdf(CompositeProduct((GammaGammaParams(0.01, 3.0),)), math.exp(-722.0))
+
+    def test_gg_pdf_beyond_the_largest_double_refuses(self):
+        # the closed form refuses where z_pdf of the same law does, not inf
+        with pytest.raises(AccuracyError, match=r"overflows a double \(ln x = -744.44\)"):
+            gg_pdf(GammaGammaParams(0.01, 3.0), 5e-324)
+
 
 class TestMellinLawSlices:
     """The real slices of the line integral's kernel run on floats; their
