@@ -37,6 +37,7 @@ same rule.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -81,6 +82,18 @@ _CLUSTER_DEPTH = 32.0
 # draw of n values holds one n-array and one block, not a temporary per
 # factor.
 _SAMPLE_BLOCK = 1 << 16
+
+
+def check_count(value, what):
+    """value as an int, or DomainError naming `what` unless it is an integer
+    >= 1."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -173,8 +186,7 @@ class CompositeProduct:
         """Product law of `times` independent copies multiplied together,
         built once per count and kept for the life of the channel, so a
         sweep over one channel builds one Mellin transform."""
-        if times < 1:
-            raise DomainError("need at least one copy")
+        times = check_count(times, "the number of copies")
         if times not in self._replicas:
             self._replicas[times] = CompositeProduct(self.gg_links * times,
                                                      self.pe_links * times)
@@ -464,27 +476,31 @@ def sample_z(ch: CompositeProduct, rng: np.random.Generator, count: int):
     Each Gamma-Gamma factor is the product of two independent gamma variates
     with shapes (alpha, beta) and scales (1/alpha, Omega/beta); each
     misalignment factor is A_o * U^(1/xi) by CDF inversion.  Deterministic
-    for a given generator state.  A factor's variates are drawn in blocks of
-    _SAMPLE_BLOCK into one buffer and multiplied into the result in place;
-    this consumes the generator, and gives the same values, as drawing the
-    factor's `count` variates at once.
+    for a given generator state.  The first factor is drawn straight into the
+    result; each later one is drawn in blocks of _SAMPLE_BLOCK into one
+    buffer and multiplied into the result in place.  This consumes the
+    generator, and gives the same values, as drawing each factor's `count`
+    variates at once and multiplying them together.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    z = np.ones(count)
+    count = check_count(count, "the draw count")
+    z = np.empty(count)
     buf = np.empty(min(count, _SAMPLE_BLOCK))
 
     def blocks():
         for lo in range(0, count, _SAMPLE_BLOCK):
-            b = buf[:min(count - lo, _SAMPLE_BLOCK)]
-            yield b, z[lo:lo + b.size]
+            zb = z[lo:lo + _SAMPLE_BLOCK]
+            yield buf[:zb.size], zb
 
-    for g in ch.gg_links:
-        for shape, scale in ((g.alpha, 1.0 / g.alpha), (g.beta, g.omega / g.beta)):
-            for b, zb in blocks():
-                rng.standard_gamma(shape, out=b)
-                b *= scale
-                zb *= b
+    (shape, scale), *gammas = [(s, c) for g in ch.gg_links
+                               for s, c in ((g.alpha, 1.0 / g.alpha), (g.beta, g.omega / g.beta))]
+    for _, zb in blocks():
+        rng.standard_gamma(shape, out=zb)
+        zb *= scale
+    for shape, scale in gammas:
+        for b, zb in blocks():
+            rng.standard_gamma(shape, out=b)
+            b *= scale
+            zb *= b
     for p in ch.pe_links:
         for b, zb in blocks():
             rng.random(out=b)

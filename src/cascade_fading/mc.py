@@ -3,9 +3,11 @@
 Sampling runs over counter-based Philox substreams: chunk k of a run seeded
 with `seed` draws from Philox(key=seed, counter=k << 128), so results are
 bit-reproducible for a given (seed, n) regardless of how chunks are
-scheduled, and chunk tallies aggregate order-independently.  The chunks of
-one call are drawn on up to one thread per usable CPU: numpy's samplers
-release the interpreter lock, and the integer tallies sum exactly.
+scheduled, and chunk tallies aggregate order-independently.  Each call
+starts up to one thread per usable CPU and joins them before it returns:
+numpy's samplers release the interpreter lock, and the integer tallies sum
+exactly.  The threads come from `threading`, which numpy already loads; no
+pool module is imported.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CompositeProduct, sample_z, z_cdf
+from .distributions import CompositeProduct, check_count, sample_z, z_cdf
 from .specfun import DomainError
 
 __all__ = ["McEstimate", "mc_cdf", "mc_op_parallel", "mc_op_thz", "ks_statistic"]
@@ -43,26 +46,19 @@ class McEstimate:
         return abs(self.value - reference) <= n_sigma * max(self.std_error, 1e-300)
 
 
-def _integer(value):
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
 def check_samples(n):
     """n as an int, or DomainError unless it is an integer >= 1."""
-    count = _integer(n)
-    if count is None or count < 1:
-        raise DomainError(f"need an integer n >= 1 samples, got {n!r}")
-    return count
+    return check_count(n, "the sample count n")
 
 
 def check_seed(seed):
     """seed as an int, or DomainError unless it is an integer Philox key in
     [0, 2^128)."""
-    key = _integer(seed)
-    if key is None or not 0 <= key < 1 << 128:
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        key = -1
+    if not 0 <= key < 1 << 128:
         raise DomainError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     return key
 
@@ -119,10 +115,12 @@ def _tally(n, seed, draw, hit, points):
 
     Chunk k draws from _substream(seed, k); `draw(rng, size)` turns it into
     the statistic the points test, and `hit(stat, *point)` marks the outage
-    draws of one point.  The chunks run on up to one thread per usable CPU
-    and their integer hit counts are summed, so a point's tally depends only
-    on (seed, n) and the point: a group of points gives each the estimate it
-    gets alone, in any schedule.
+    draws of one point.  Chunk k runs on worker thread k mod w, for
+    w = min(chunks, usable CPUs), and the integer hit counts are summed, so a
+    point's tally depends only on (seed, n) and the point: a group of points
+    gives each the estimate it gets alone, in any schedule.  An exception in
+    a chunk is raised here once every worker has been joined; the first
+    failing chunk's, if several fail.
     """
     n = check_samples(n)
     seed = check_seed(seed)
@@ -137,11 +135,29 @@ def _tally(n, seed, draw, hit, points):
                 counts[i] += int(np.count_nonzero(hit(block, *point)))
         return counts
 
-    # imported here: concurrent.futures costs a cold analytic run ~6 ms
-    from concurrent.futures import ThreadPoolExecutor
+    workers = min(len(sizes), _usable_cpus())
+    tallies = [None] * len(sizes)
+    errors = {}
 
-    with ThreadPoolExecutor(min(len(sizes), _usable_cpus())) as pool:
-        hits = [sum(c) for c in zip(*pool.map(chunk, range(len(sizes))))]
+    def work(first):
+        # a worker stops at its first failing chunk, so the lowest failing
+        # chunk of all is among those recorded
+        for k in range(first, len(sizes), workers):
+            try:
+                tallies[k] = chunk(k)
+            except BaseException as exc:
+                errors[k] = exc
+                return
+
+    # plain threads: a pool module would load logging, a few ms a run
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    hits = [sum(c) for c in zip(*tallies)]
     return [_estimate(h, n, seed, len(sizes)) for h in hits]
 
 
@@ -164,15 +180,14 @@ def mc_op_parallel(branch: CompositeProduct, n_branches, snr_ratio, n, seed):
     law and the outage event is S = mean(B_i) <= sqrt(rho_th / (N rho_s)).
     snr_ratio is a scalar or a 1-D sequence (one estimate per element).
     """
-    if n_branches < 1:
-        raise DomainError("need at least one branch")
+    n_branches = check_count(n_branches, "the number of branches")
     ratios, scalar = _points(snr_ratio)
     if any(r <= 0 for (r,) in ratios):
         raise DomainError("snr_ratio must be positive")
 
     def draw(rng, size):
-        s = np.zeros(size)
-        for _ in range(n_branches):
+        s = sample_z(branch, rng, size)
+        for _ in range(n_branches - 1):
             s += sample_z(branch, rng, size)
         s /= n_branches
         return s
@@ -215,10 +230,11 @@ def mc_op_thz(ch: CompositeProduct, gamma_ratio, gamma_th, kappa_t, kappa_r, n, 
 def ks_statistic(ch: CompositeProduct, samples, grid_points=4096):
     """Kolmogorov-Smirnov distance between draws and the analytic CDF.
 
-    The CDF is evaluated on a log-spaced grid spanning the sample range and
-    monotonically interpolated onto the sorted samples; with thousands of
-    grid points the interpolation error is far below the KS resolution of
-    any sample size this package uses.
+    The CDF is evaluated on a log-spaced grid spanning the positive samples
+    and monotonically interpolated onto them; with thousands of grid points
+    the interpolation error is far below the KS resolution of any sample size
+    this package uses.  Draws that underflowed to 0.0 take the CDF 0.0; a
+    negative, NaN or infinite draw raises DomainError.
     """
     # imported here: scipy.interpolate pulls in optimize, linalg, sparse and
     # spatial, which nothing else on the import path of the package needs
@@ -228,10 +244,17 @@ def ks_statistic(ch: CompositeProduct, samples, grid_points=4096):
     n = xs.size
     if n < 2:
         raise DomainError("need at least two samples")
-    grid = np.exp(np.linspace(math.log(xs[0] * 0.999), math.log(xs[-1] * 1.001), grid_points))
-    cdf_grid = z_cdf(ch, grid)
-    interp = PchipInterpolator(np.log(grid), cdf_grid, extrapolate=True)
-    cdf = np.clip(interp(np.log(xs)), 0.0, 1.0)
+    bad = ~(np.isfinite(xs) & (xs >= 0.0))
+    if bad.any():
+        raise DomainError(f"samples must be finite and >= 0, got {float(xs[bad][0])!r}")
+    cdf = np.zeros(n)
+    first = int(np.searchsorted(xs, 0.0, side="right"))  # the first positive draw
+    if first < n:
+        pos = xs[first:]
+        grid = np.exp(np.linspace(math.log(pos[0] * 0.999), math.log(pos[-1] * 1.001),
+                                  grid_points))
+        interp = PchipInterpolator(np.log(grid), z_cdf(ch, grid), extrapolate=True)
+        cdf[first:] = np.clip(interp(np.log(pos)), 0.0, 1.0)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1) / n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import CompositeProduct, z_cdf, z_cdf_asymptotic
+from .distributions import CompositeProduct, check_count, z_cdf, z_cdf_asymptotic
 from .channels import ThzAtmosphere, ThzLinkBudget, thz_gain
 from .specfun import DomainError
 
@@ -87,8 +87,7 @@ def op_fso_parallel_bound(branch: CompositeProduct, n_branches: int, snr_ratio):
     most the CDF of the flattened product at the n-th power of the
     per-branch threshold sqrt(rho_th / (N rho_s)).
     """
-    if n_branches < 1:
-        raise DomainError("need at least one branch")
+    n_branches = check_count(n_branches, "the number of branches")
     if snr_ratio <= 0:
         raise DomainError("snr_ratio must be positive")
     flat = branch.replicated(n_branches)

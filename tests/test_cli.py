@@ -515,9 +515,9 @@ class TestEval:
 
 
 class TestColdImport:
-    def test_thread_pool_loads_with_the_first_monte_carlo_run(self):
-        # concurrent.futures costs ~6 ms after numpy: the import and an
-        # analytic run leave it unloaded, a Monte Carlo run loads it
+    def test_monte_carlo_run_loads_no_thread_pool_or_logging(self):
+        # concurrent.futures, with the logging it loads, costs a few ms after
+        # numpy: neither the import nor an analytic or Monte Carlo run loads it
         code = """
 import sys
 import cascade_fading.cli as cli
@@ -527,7 +527,7 @@ text, flagged = cli.run(cli.parse_config(cli.recipe_path("fig3_weak_weak")), mod
 assert text.count("\\n") > 2 and not flagged
 assert "concurrent.futures" not in sys.modules
 cli.run(cli.parse_config(cli.recipe_path("fig13_worst")), mode="mc", samples=20000)
-assert "concurrent.futures" in sys.modules
+assert "concurrent.futures" not in sys.modules and "logging" not in sys.modules
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -3,8 +3,7 @@
 import math
 import os
 import sys
-import concurrent.futures
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -156,6 +155,15 @@ class TestSampler:
         assert np.array_equal(got, want)
         assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)
 
+    @pytest.mark.parametrize("count", [2.5, math.nan, "3"])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(DomainError):
+            sample_z(MIXED_21, np.random.default_rng(0), count)
+
+    def test_numpy_count(self):
+        got = sample_z(MIXED_21, np.random.default_rng(4), np.int64(5))
+        assert np.array_equal(got, sample_z(MIXED_21, np.random.default_rng(4), 5))
+
 
 class TestThreadedChunks:
     """Chunks drawn on worker threads tally exactly what a serial chunk loop
@@ -165,26 +173,28 @@ class TestThreadedChunks:
 
     @pytest.fixture(params=[None, 1, 8], ids=["host", "one-cpu", "eight-cpus"])
     def workers(self, request, monkeypatch):
-        """The worker counts of the pools the estimators open."""
+        """The worker threads the estimators start, and how many one call
+        should start."""
         cpus = request.param
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid: set(range(cpus)), raising=False)
-        opened = []
+        started = []
 
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-                super().__init__(max_workers)
+        class Worker(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        # _tally imports the pool class from its module on each call
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        # _tally looks the class up in the threading module on each call
+        monkeypatch.setattr(threading, "Thread", Worker)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often to expose races
         try:
-            yield opened, min(4, cpus or mc._usable_cpus())
+            yield started, min(4, cpus or mc._usable_cpus())
         finally:
             sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in started)
 
     def test_cdf(self, workers):
         xs = [0.05, 0.3, 0.9, 2.5]
@@ -192,8 +202,8 @@ class TestThreadedChunks:
         want = _serial_tally(self.N, 13, lambda rng, size: _one_shot_sample_z(MIXED_21, rng, size),
                              lambda z, t: z <= t, [(x,) for x in xs])
         assert got == want
-        opened, expected = workers
-        assert opened == [expected]
+        started, expected = workers
+        assert len(started) == expected
 
     def test_parallel(self, workers):
         ratios = [db(v) for v in (20.0, 26.0, 32.0)]
@@ -208,7 +218,7 @@ class TestThreadedChunks:
         want = _serial_tally(self.N, 19, draw, lambda s, t: s <= t,
                              [(math.sqrt(1.0 / (2 * r)),) for r in ratios])
         assert got == want
-        assert workers[0] == [workers[1]]
+        assert len(workers[0]) == workers[1]
 
     def test_thz(self, workers):
         ch = TestMcThz.CH
@@ -219,11 +229,25 @@ class TestThreadedChunks:
             lambda z2, g_s, k2: z2 * g_s / (z2 * g_s * k2 + 1.0) <= g_th,
             [(r * g_th, kt * kt + kr * kr) for r in ratios])
         assert got == want
-        assert workers[0] == [workers[1]]
+        assert len(workers[0]) == workers[1]
 
     def test_single_chunk_runs_on_one_worker(self, workers):
         mc_cdf(MIXED_21, 0.3, 1000, 3)
-        assert workers[0] == [1]
+        assert len(workers[0]) == 1
+
+    def test_failing_chunk_raises_after_every_worker_joins(self):
+        class Boom(Exception):
+            pass
+
+        def draw(rng, size):
+            if size < 1 << 19:  # the short second chunk
+                raise Boom(size)
+            return sample_z(MIXED_21, rng, size)
+
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            mc._tally((1 << 19) + 5, 3, draw, lambda z, t: z <= t, [(0.3,)])
+        assert threading.active_count() == before
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -246,6 +270,15 @@ class TestMcParallel:
             est = mc_op_parallel(BRANCH, 2, db(v), 10**6, 17)
             bound = op_fso_parallel_bound(BRANCH, 2, db(v)).probability
             assert bound >= est.value - 3 * est.std_error
+
+    @pytest.mark.parametrize("branches", [2.5, math.nan, "2", 0])
+    def test_branch_count_must_be_an_integer(self, branches):
+        with pytest.raises(DomainError):
+            mc_op_parallel(BRANCH, branches, db(25), 1000, 1)
+
+    def test_numpy_branch_count(self):
+        assert mc_op_parallel(BRANCH, np.int64(2), db(25), 10**4, 9) == \
+            mc_op_parallel(BRANCH, 2, db(25), 10**4, 9)
 
     def test_diversity_gain_with_branch_count(self):
         r = db(30)
@@ -318,6 +351,18 @@ class TestKs:
     def test_needs_samples(self):
         with pytest.raises(DomainError):
             ks_statistic(MIXED_21, np.array([1.0]))
+
+    def test_draws_that_underflow_to_zero(self):
+        # alpha = 0.01 puts 11 of these draws at 0.0; they take the CDF 0.0
+        ch = CompositeProduct((GammaGammaParams(0.01, 3.0),))
+        z = sample_z(ch, np.random.Generator(np.random.Philox(3)), 20000)
+        assert np.count_nonzero(z == 0.0) == 11
+        assert 0.0 < ks_statistic(ch, z, grid_points=512) < 1.36 / math.sqrt(z.size)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_refuses_a_draw_outside_the_support(self, bad):
+        with pytest.raises(DomainError, match=repr(bad)):
+            ks_statistic(MIXED_21, np.array([0.5, bad, 1.0]))
 
     def test_detects_wrong_model(self):
         rng = np.random.default_rng(5)

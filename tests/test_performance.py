@@ -142,6 +142,18 @@ class TestParallelBound:
         with pytest.raises(DomainError):
             op_fso_parallel_bound(self.BRANCH, 0, db(30))
 
+    @pytest.mark.parametrize("branches", [2.5, math.nan, "2"])
+    def test_branch_count_must_be_an_integer(self, branches):
+        with pytest.raises(DomainError):
+            op_fso_parallel_bound(self.BRANCH, branches, db(30))
+        with pytest.raises(DomainError):
+            self.BRANCH.replicated(branches)
+
+    def test_numpy_branch_count(self):
+        assert op_fso_parallel_bound(self.BRANCH, np.int64(2), db(30)) == \
+            op_fso_parallel_bound(self.BRANCH, 2, db(30))
+        assert self.BRANCH.replicated(np.int64(2)) is self.BRANCH.replicated(2)
+
 
 class TestThzOutage:
     CH = CompositeProduct((GammaGammaParams(7.465009, 5.943215),
