@@ -7,6 +7,11 @@ the circular-aperture Gaussian-beam model (Farid & Hranilovic style erf
 geometry).  THz molecular absorption uses the simplified 100-450 GHz
 water-vapor model of Kokkoniemi et al. with two resonance lines at 10.835
 and 12.664 1/cm plus a cubic continuum polynomial.
+
+No scenario of the CLI uses the Hill-formula Cn^2 of `ThzAtmosphere`
+(`c_t`, `a_t`, `a_q`, `hill_sign`, `cn2_override`, `cn2()`, `hill_cn2`) or
+`FsoAtmosphere` with `fso_gain`: it takes Cn^2 from `[atmosphere] cn2` and
+the FSO SNR from `snr_ratio_db` as given.  They stay as library API.
 """
 
 from __future__ import annotations

@@ -55,21 +55,9 @@ from .performance import (
 from .mc import check_samples, check_seed, mc_cdf, mc_op_parallel, mc_op_thz
 from .specfun import AccuracyError, DomainError
 
-__all__ = [
-    "ConfigError",
-    "ScenarioConfig",
-    "LinkConfig",
-    "SweepConfig",
-    "TransceiverConfig",
-    "AtmosphereConfig",
-    "parse_config",
-    "parse_config_text",
-    "write_config",
-    "generate_recipes",
-    "run",
-    "evaluate",
-    "main",
-]
+__all__ = ["ConfigError", "ScenarioConfig", "LinkConfig", "SweepConfig", "TransceiverConfig",
+           "AtmosphereConfig", "parse_config", "parse_config_text", "write_config",
+           "generate_recipes", "run", "evaluate", "main"]
 
 CONFIG_VERSION = 1
 SCENARIOS = ("fso_cascade", "fso_parallel", "thz_cascade")
@@ -105,7 +93,7 @@ class SweepConfig:
     start: float
     stop: float
     points: int
-    scale: str = "linear"  # linear | log | db
+    scale: str = "linear"  # linear | log | db; db builds the same grid as linear
 
     def grid(self):
         if self.points == 1:
@@ -225,8 +213,6 @@ def parse_config_text(text, source="<string>"):
                                   "a preset sets alpha/beta; give one or the other")
             gg = TURBULENCE_PRESETS[preset]
             kwargs["alpha"], kwargs["beta"] = gg.alpha, gg.beta
-        if ("alpha" in kwargs) != ("beta" in kwargs):  # one alone would go unread
-            raise ConfigError(sec, "alpha/beta", "give both alpha and beta, or neither")
         links.append(LinkConfig(**kwargs))
         i += 1
     if not links:
@@ -253,7 +239,19 @@ def parse_config_text(text, source="<string>"):
         transceiver=TransceiverConfig(**_fields(parser, "transceiver", TransceiverConfig)),
         sweep=sweep,
     )
-    _sweep_target(cfg)
+    reads = _reads(cfg)
+    where, key = _sweep_target(cfg)
+    swept = {(where, key)} if isinstance(where, str) else {(f"link.{i + 1}", key) for i in where}
+    if not swept or not swept <= reads:
+        raise ConfigError("sweep", "variable", f"this {cfg.scenario} config does not read "
+                          f"{cfg.sweep.variable!r}, so every point would be the same")
+    for sec, part in _parts(cfg):
+        for f in fields(part):
+            value = getattr(part, f.name)
+            if value != f.default and (sec, f.name) not in reads:
+                raise ConfigError(sec, _PAIRS.get(f.name, f.name),
+                                  f"this {cfg.scenario} config does not read {f.name} = "
+                                  f"{_fmt(value)}, so it would not affect the result")
     return cfg
 
 
@@ -280,13 +278,62 @@ def write_config(cfg: ScenarioConfig):
     [config] and [sweep] are written in full, every other section only
     with the fields that differ from their defaults."""
     sections = [("config", _Header(CONFIG_VERSION, cfg.scenario)), ("sweep", cfg.sweep),
-                ("transceiver", cfg.transceiver), ("atmosphere", cfg.atmosphere),
-                *((f"link.{i}", link) for i, link in enumerate(cfg.links, start=1))]
+                *_parts(cfg)]
     return "\n".join(
         f"[{name}]\n" + "".join(
             f"{f.name} = {_fmt(getattr(part, f.name))}\n" for f in fields(part)
             if part is cfg.sweep or getattr(part, f.name) != f.default)
         for name, part in sections)
+
+
+def _parts(cfg: ScenarioConfig):
+    """(section, part) of every config part whose fields `_reads` states."""
+    return [("transceiver", cfg.transceiver), ("atmosphere", cfg.atmosphere),
+            *((f"link.{i}", link) for i, link in enumerate(cfg.links, start=1))]
+
+
+# a field that is read only as one of a pair is refused under the pair's name
+_PAIRS = {"alpha": "alpha/beta", "beta": "alpha/beta", "xi": "xi/a_o", "a_o": "xi/a_o"}
+_BUDGET = ("power_dbw", "bandwidth", "noise_figure_db", "gain_tx_dbi", "gain_rx_dbi")
+
+
+def _reads(cfg: ScenarioConfig):
+    """The (section, field) pairs that `run` reads of `cfg`, with the swept
+    field set at every point.  Parsing refuses every other field set away
+    from its default, and every sweep variable that sets none of these.
+    Without kappa_t/kappa_r, gamma_th_db cancels out of the THz outage; a
+    thz_cascade config that neither gives nor sweeps the SNR takes it from
+    the link budget, which applies ris_reflection to middle hops only."""
+    trx, var = cfg.transceiver, cfg.sweep.variable
+    thz = cfg.scenario == "thz_cascade"
+    budget = thz and trx.snr_ratio_db is None and var != "snr_db"
+    read = set()
+
+    def add(section, *keys):
+        read.update((section, key) for key in keys)
+
+    add("transceiver", "snr_ratio_db")
+    if cfg.scenario == "fso_parallel":
+        add("transceiver", "branches")
+    if thz:
+        add("transceiver", "kappa_t", "kappa_r")
+        if budget or trx.kappa_t or trx.kappa_r or var in ("kappa_t", "kappa_r"):
+            add("transceiver", "gamma_th_db")
+    if budget:
+        add("transceiver", *_BUDGET, *(("ris_reflection",) if len(cfg.links) > 2 else ()))
+        add("atmosphere", "frequency", "temperature", "pressure", "humidity")
+    for i, link in enumerate(cfg.links, start=1):
+        sec = f"link.{i}"
+        add(sec, "misaligned", *(("distance",) if budget else ()))
+        if link.alpha is not None and link.beta is not None:
+            add(sec, "alpha", "beta", "omega")
+        else:
+            add(sec, "distance", *(("aperture",) if thz else ()))
+            add("atmosphere", "cn2", "frequency" if thz else "wavelength")
+        if link.misaligned:
+            add(sec, *(("xi", "a_o") if link.xi is not None and link.a_o is not None
+                       else ("aperture", "beam_waist", "jitter")))
+    return read
 
 
 # sweep variable -> (section of the config, field) that it sets
@@ -301,49 +348,28 @@ _SWEEP_FIELDS = {
 
 def _sweep_target(cfg: ScenarioConfig):
     """What the sweep variable sets: (section, field) from `_SWEEP_FIELDS`,
-    or (link indices, field) for `jitter` (every link misaligned by
-    geometry), `jitter_k` and `distance_k` (link k).  A variable that names
-    nothing, or a field that this config's outage does not read (a sweep
-    whose every point would be the same), raises ConfigError.
-
-    Only thz_cascade reads kappa_t, kappa_r, gamma_th_db and the frequency,
-    which it reads on links given by their geometry and for an SNR from the
-    link budget.  A link's jitter is read where it is misaligned by geometry
-    (no xi/a_o), and its distance where it has no alpha/beta or the budget
-    reads it."""
+    or (link indices, field) for `jitter` (every link whose jitter
+    `_reads(cfg)` holds), `jitter_k` and `distance_k` (link k).  A variable
+    that names nothing raises ConfigError."""
     var = cfg.sweep.variable
-    thz = cfg.scenario == "thz_cascade"
-    budget = thz and cfg.transceiver.snr_ratio_db is None
-    geometry = [l.alpha is None for l in cfg.links]
-    jittered = [l.misaligned and l.xi is None and l.a_o is None for l in cfg.links]
     if var in _SWEEP_FIELDS:
-        target = _SWEEP_FIELDS[var]
-        read = var == "snr_db" or (thz and (var != "frequency" or budget or any(geometry)))
-    elif var == "jitter":
-        target = tuple(i for i, j in enumerate(jittered) if j), "jitter"
-        read = bool(target[0])
-    else:
-        stem, sep, idx = var.partition("_")
-        if stem not in ("jitter", "distance") or not sep:
-            raise ConfigError("sweep", "variable", f"unknown sweep variable {var!r}")
-        try:
-            k = int(idx)
-        except ValueError:
-            raise ConfigError("sweep", "variable", f"malformed index in {var!r}") from None
-        if not 1 <= k <= len(cfg.links):
-            raise ConfigError("sweep", "variable",
-                              f"{var!r} exceeds the {len(cfg.links)} configured links")
-        target = (k - 1,), stem
-        read = jittered[k - 1] if stem == "jitter" else geometry[k - 1] or budget
-    if not read:
-        raise ConfigError("sweep", "variable",
-                          f"this {cfg.scenario} config does not read {var!r}, "
-                          "so every point would be the same")
-    return target
+        return _SWEEP_FIELDS[var]
+    if var == "jitter":
+        reads = _reads(cfg)
+        return tuple(i for i in range(len(cfg.links))
+                     if (f"link.{i + 1}", "jitter") in reads), "jitter"
+    stem, _, idx = var.partition("_")
+    k = int(idx) if idx.isdecimal() else 0
+    if stem not in ("jitter", "distance") or not 1 <= k <= len(cfg.links):
+        raise ConfigError("sweep", "variable", f"unknown sweep variable {var!r} "
+                          f"(link indices run from 1 to {len(cfg.links)})")
+    return (k - 1,), stem
 
 
-def _apply_sweep(cfg: ScenarioConfig, value):
-    where, key = _sweep_target(cfg)
+def _apply_sweep(cfg: ScenarioConfig, value, target=None):
+    """`cfg` with the swept field set to `value`; `target` is
+    `_sweep_target(cfg)`, which a run finds once for all its points."""
+    where, key = target or _sweep_target(cfg)
     if isinstance(where, str):
         return replace(cfg, **{where: replace(getattr(cfg, where), **{key: value})})
     return replace(cfg, links=tuple(replace(l, **{key: value}) if i in where else l
@@ -351,9 +377,7 @@ def _apply_sweep(cfg: ScenarioConfig, value):
 
 
 def _pointing(link: LinkConfig, section):
-    if link.xi is not None or link.a_o is not None:
-        if link.xi is None or link.a_o is None:
-            raise ConfigError(section, "xi/a_o", "both xi and a_o are required")
+    if link.xi is not None and link.a_o is not None:
         return PointingErrorParams(link.xi, link.a_o)
     for key in ("aperture", "beam_waist", "jitter"):
         if getattr(link, key) is None:
@@ -372,23 +396,15 @@ def build_product(cfg: ScenarioConfig) -> CompositeProduct:
         if link.alpha is not None and link.beta is not None:
             gg.append(GammaGammaParams(link.alpha, link.beta, link.omega))
         elif link.distance is not None:
-            if thz:
-                if cfg.atmosphere.frequency is None:
-                    raise ConfigError("atmosphere", "frequency",
-                                      "THz links need a carrier frequency")
-                lam = SPEED_OF_LIGHT / cfg.atmosphere.frequency
-                cn2 = cfg.atmosphere.cn2
-                if cn2 is None:
-                    raise ConfigError("atmosphere", "cn2", "required for THz links")
-                s2 = rytov_variance(cn2, lam, link.distance)
-                gg.append(thz_gg_params(s2, link.aperture or 0.0, lam, link.distance))
-            else:
-                if cfg.atmosphere.cn2 is None or cfg.atmosphere.wavelength is None:
-                    raise ConfigError("atmosphere", "cn2/wavelength",
-                                      "required for geometry-entry FSO links")
-                s2 = rytov_variance(cfg.atmosphere.cn2, cfg.atmosphere.wavelength,
-                                    link.distance)
-                gg.append(fso_gg_params(s2))
+            atm = cfg.atmosphere
+            # a zero frequency gives the wavelength 0.0, which rytov_variance refuses
+            lam = (atm.frequency and SPEED_OF_LIGHT / atm.frequency) if thz else atm.wavelength
+            if atm.cn2 is None or lam is None:
+                raise ConfigError("atmosphere", "cn2/frequency" if thz else "cn2/wavelength",
+                                  "required for links given by their distance")
+            s2 = rytov_variance(atm.cn2, lam, link.distance)
+            gg.append(thz_gg_params(s2, link.aperture or 0.0, lam, link.distance) if thz
+                      else fso_gg_params(s2))
         else:
             raise ConfigError(sec, "alpha/beta",
                               "give alpha+beta (or a preset) or a distance")
@@ -413,12 +429,13 @@ def _gamma_ratio(cfg: ScenarioConfig):
     trx = cfg.transceiver
     if trx.snr_ratio_db is not None:
         return _db_to_linear(trx.snr_ratio_db, "snr_ratio_db")
-    if trx.power_dbw is None or trx.bandwidth is None:
+    if cfg.scenario != "thz_cascade" or trx.power_dbw is None or trx.bandwidth is None:
         raise ConfigError("transceiver", "snr_ratio_db",
-                          "give snr_ratio_db or a power/bandwidth budget")
-    if cfg.scenario != "thz_cascade":
-        raise ConfigError("transceiver", "power_dbw",
-                          "budget-derived SNR is only wired for thz_cascade")
+                          "give snr_ratio_db (thz_cascade: or a power/bandwidth budget)")
+    for sec, part, key in (("atmosphere", cfg.atmosphere, "frequency"),
+                           *((f"link.{i}", l, "distance") for i, l in enumerate(cfg.links, 1))):
+        if getattr(part, key) is None:
+            raise ConfigError(sec, key, "the THz link budget reads it")
     atm = _thz_atmosphere(cfg)
     budget = ThzLinkBudget(
         frequency=cfg.atmosphere.frequency,
@@ -427,8 +444,6 @@ def _gamma_ratio(cfg: ScenarioConfig):
         gain_tx=_db_to_linear(trx.gain_tx_dbi, "gain_tx_dbi"),
         gain_rx=_db_to_linear(trx.gain_rx_dbi, "gain_rx_dbi"),
         ris_reflection=(trx.ris_reflection,) * max(len(cfg.links) - 1, 0),
-        kappa_t=trx.kappa_t,
-        kappa_r=trx.kappa_r,
     )
     power = _db_to_linear(trx.power_dbw, "power_dbw")
     noise = (BOLTZMANN * atm.temperature * trx.bandwidth
@@ -480,11 +495,7 @@ def _resolve_point(cfg: ScenarioConfig):
 
 
 def _csv_cell(v):
-    if v == "":
-        return ""
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
+    return format(v, ".12g") if isinstance(v, float) else str(v)
 
 
 def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
@@ -510,16 +521,16 @@ def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
     def domain_error(value, exc):
         return ConfigError("sweep", cfg.sweep.variable, f"sweep_value={value:g}: {exc}")
 
-    points, laws = [], {}
+    points, laws, target = [], {}, _sweep_target(cfg)
     for value in grid:
         try:
-            law, thresholds = _resolve_point(_apply_sweep(cfg, value))
+            law, thresholds = _resolve_point(_apply_sweep(cfg, value, target))
         except DomainError as exc:
             raise domain_error(value, exc) from exc
         points.append((laws.setdefault(law, law), thresholds))
 
     analytic_op, mc_op = _operators(cfg.scenario)
-    rows = [{"op_analytic": "", "op_mc": "", "mc_stderr": "",
+    rows = [{"op_analytic": "", "op_mc": "", "mc_stderr": "",  # in column order
              "method": "", "accuracy_flag": ""} for _ in grid]
     flagged = []
     if mode in ("analytic", "both"):
@@ -548,16 +559,8 @@ def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
             for i, est in zip(members, estimates):
                 rows[i].update(op_mc=est.value, mc_stderr=est.std_error)
 
-    lines = [CSV_HEADER]
-    for value, row in zip(grid, rows):
-        lines.append(",".join([
-            _csv_cell(float(value)),
-            _csv_cell(row["op_analytic"]),
-            _csv_cell(row["op_mc"]),
-            _csv_cell(row["mc_stderr"]),
-            row["method"],
-            row["accuracy_flag"],
-        ]))
+    lines = [CSV_HEADER, *(",".join(map(_csv_cell, (float(value), *row.values())))
+                           for value, row in zip(grid, rows))]
     text = "\n".join(lines) + "\n"
     if out is not None:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
@@ -643,12 +646,9 @@ def main(argv=None):
                                 samples=args.samples, out=args.out)
             if args.out is None:
                 sys.stdout.write(text)
-            if flagged:
-                for value, msg in flagged:
-                    print(f"accuracy failure at sweep_value={value:g}: {msg}",
-                          file=sys.stderr)
-                return 3
-            return 0
+            for value, msg in flagged:
+                print(f"accuracy failure at sweep_value={value:g}: {msg}", file=sys.stderr)
+            return 3 if flagged else 0
         value, flag = evaluate(cfg, args.quantity, args.at)
         print(f"{value:.12g} {flag}")
         return 0

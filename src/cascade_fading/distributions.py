@@ -84,15 +84,15 @@ _CLUSTER_DEPTH = 32.0
 _SAMPLE_BLOCK = 1 << 16
 
 
-def check_count(value, what):
+def check_count(value, what, least=1):
     """value as an int, or DomainError naming `what` unless it is an integer
-    >= 1."""
+    >= `least`."""
     try:
         count = operator.index(value)
     except TypeError:
-        count = 0
-    if count < 1:
-        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
+        count = least - 1
+    if count < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
     return count
 
 

@@ -234,8 +234,10 @@ def ks_statistic(ch: CompositeProduct, samples, grid_points=4096):
     and monotonically interpolated onto them; with thousands of grid points
     the interpolation error is far below the KS resolution of any sample size
     this package uses.  Draws that underflowed to 0.0 take the CDF 0.0; a
-    negative, NaN or infinite draw raises DomainError.
+    negative, NaN or infinite draw, or a `grid_points` that is not an integer
+    >= 2, raises DomainError.
     """
+    grid_points = check_count(grid_points, "grid_points", 2)
     # imported here: scipy.interpolate pulls in optimize, linalg, sparse and
     # spatial, which nothing else on the import path of the package needs
     from scipy.interpolate import PchipInterpolator

@@ -57,16 +57,17 @@ alpha = 4.942
 beta = 1.231
 """
 
-# a thz_cascade config that reads every sweep variable: link 1 given by its
-# geometry and misaligned by it, link 2 by alpha/beta, the SNR from the link
-# budget (which reads every link's distance)
+# a thz_cascade config that reads every sweep variable but snr_db: link 1
+# given by its geometry and misaligned by it, link 2 by alpha/beta, the SNR
+# from the link budget (which reads every link's distance; a swept SNR would
+# stand in for it)
 THZ_GEOMETRY = """
 [config]
 config_version = 1
 scenario = thz_cascade
 
 [sweep]
-variable = snr_db
+variable = frequency
 start = 1
 stop = 10
 points = 2
@@ -207,12 +208,26 @@ class TestConfigParsing:
     PARTS = {SweepConfig: "sweep", TransceiverConfig: "transceiver",
              AtmosphereConfig: "atmosphere", LinkConfig: "links"}
 
+    # a config that reads the field, where THZ_GEOMETRY does not
+    READERS = {
+        "snr_ratio_db": MINIMAL,
+        "branches": MINIMAL.replace("fso_cascade", "fso_parallel"),
+        "wavelength": MINIMAL.replace("alpha = 4.942\nbeta = 1.231", "distance = 1e3"),
+        "ris_reflection": THZ_GEOMETRY + "\n[link.3]\nturbulence = weak\n",
+        **dict.fromkeys(("xi", "a_o"), THZ_GEOMETRY.replace(
+            "beta = 1.231", "beta = 1.231\nmisaligned = true\nxi = 6.7\na_o = 0.8")),
+        **dict.fromkeys(("aperture", "beam_waist", "jitter"), THZ_GEOMETRY.replace(
+            "beta = 1.231", "beta = 1.231\nmisaligned = true\naperture = 0.05\n"
+            "beam_waist = 0.1\njitter = 0.01")),
+    }
+
     @pytest.mark.parametrize("cls,key", [(cls, f.name) for cls in PARTS
                                          for f in fields(cls)])
     def test_every_field_round_trips(self, cls, key):
         # a field that the writer drops comes back as its default; on a
-        # config that reads every sweep variable, so that kappa_t is one
-        cfg = parse_config_text(THZ_GEOMETRY)
+        # config that reads the field (and every sweep variable but snr_db,
+        # so that kappa_t is one)
+        cfg = parse_config_text(self.READERS.get(key, THZ_GEOMETRY))
         part = cfg.links[1] if cls is LinkConfig else getattr(cfg, self.PARTS[cls])
         old = getattr(part, key)
         if isinstance(old, str):
@@ -236,7 +251,8 @@ class TestConfigParsing:
         text = MINIMAL.replace("beta = 1.231", f"beta = 1.231\nmisaligned = {value}\n"
                                "aperture = 0.05\nbeam_waist = 0.1\njitter = 0.01")
         assert build_product(parse_config_text(text)).l == 1
-        off = parse_config_text(text.replace(f"misaligned = {value}", "misaligned = off"))
+        # a link that is not misaligned reads no geometry of its beam
+        off = parse_config_text(MINIMAL.replace("beta = 1.231", "beta = 1.231\nmisaligned = off"))
         assert build_product(off).l == 0
 
     @pytest.mark.parametrize("value", ["treu", "y", "2", "enabled"])
@@ -292,7 +308,11 @@ class TestConfigParsing:
             return {(name, f.name): getattr(part, f.name)
                     for name, part in parts for f in fields(part)}
 
-        cfg = parse_config_text(THZ_GEOMETRY.replace("variable = snr_db", f"variable = {var}"))
+        text = THZ_GEOMETRY.replace("variable = frequency", f"variable = {var}")
+        if var == "snr_db":  # the swept SNR stands in for the budget and its distances
+            text = text.replace("power_dbw = 0.0\nbandwidth = 5e10\n", "").replace(
+                "distance = 50.0\n", "")
+        cfg = parse_config_text(text)
         before, after = flat(cfg), flat(cli._apply_sweep(cfg, 0.0123))
         assert {k for k in before if before[k] != after[k]} == self.SWEEP_SETS[var]
         assert all(after[k] == 0.0123 for k in self.SWEEP_SETS[var])
@@ -310,7 +330,7 @@ class TestConfigParsing:
     def test_misaligned_by_xi_reads_no_jitter(self):
         # xi/a_o stand in for the geometry, so a link's jitter is read only
         # where the link is misaligned by geometry
-        text = THZ_GEOMETRY.replace("variable = snr_db", "variable = jitter").replace(
+        text = THZ_GEOMETRY.replace("variable = frequency", "variable = jitter").replace(
             "beta = 1.231", "beta = 1.231\nmisaligned = true\nxi = 6.7\na_o = 0.8")
         assert cli._sweep_target(parse_config_text(text)) == ((0,), "jitter")
         with pytest.raises(ConfigError) as info:
@@ -336,6 +356,121 @@ class TestConfigParsing:
         assert ch.l == 1 and ch.n == 2
         assert ch.pe_links[0].a_o == pytest.approx(math.erf(
             math.sqrt(math.pi) * 0.05 / (math.sqrt(2) * 0.1)) ** 2)
+
+
+def _edited(value):
+    """A value of a config field other than `value` and the field's default:
+    a flipped bool, the next int, half a nonzero float, and 0.5 or 0.375 in
+    place of 0.0 or None."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if value is None:
+        return 0.375
+    return value * 0.5 if value else 0.5
+
+
+def _swept(cfg):
+    """The (section, field) pairs that the sweep of a shipped recipe sets."""
+    var = cfg.sweep.variable
+    if var == "jitter":
+        return {(f"link.{i}", "jitter") for i, l in enumerate(cfg.links, start=1)
+                if l.misaligned}
+    stem, _, k = var.partition("_")
+    if stem in ("jitter", "distance"):
+        return {(f"link.{k}", stem)}
+    return {{"snr_db": ("transceiver", "snr_ratio_db"),
+             "frequency": ("atmosphere", "frequency")}.get(var, ("transceiver", var))}
+
+
+class TestReadFields:
+    """An accepted field affects the result: a field that the run would not
+    read exits 2 where it differs from its default."""
+
+    def test_every_recipe_edit_changes_the_csv_or_exits_2(self):
+        # each field of each [transceiver], [atmosphere] and [link.k] of the
+        # shipped recipes, edited alone on a 2-point grid; the swept field,
+        # which each point overrides, and fig13_ceiling, every point of which
+        # is the hard ceiling, are exempt
+        edits, unchanged = 0, []
+        for name in RECIPES:
+            if name == "fig13_ceiling":
+                continue
+            cfg = parse_config(recipe_path(name))
+            cfg = replace(cfg, sweep=replace(cfg.sweep, points=2))
+            csv = run(cfg)[0]
+            parts = [("transceiver", cfg.transceiver), ("atmosphere", cfg.atmosphere),
+                     *((f"link.{i}", l) for i, l in enumerate(cfg.links, start=1))]
+            for section, part in parts:
+                for f in fields(part):
+                    if (section, f.name) in _swept(cfg):
+                        continue
+                    part_ = replace(part, **{f.name: _edited(getattr(part, f.name))})
+                    if section.startswith("link."):
+                        k = int(section[5:]) - 1
+                        edit = replace(cfg, links=cfg.links[:k] + (part_,) + cfg.links[k + 1:])
+                    else:
+                        edit = replace(cfg, **{section: part_})
+                    edits += 1
+                    try:
+                        if run(parse_config_text(write_config(edit)))[0] == csv:
+                            unchanged.append((name, section, f.name))
+                    except ConfigError:  # exit 2
+                        pass
+        assert edits == 830
+        assert unchanged == []
+
+    THZ_ONE_LINK = THZ_GEOMETRY.split("[link.2]")[0]
+
+    @pytest.mark.parametrize("text,section,key", [
+        # a link budget in an FSO config, whose SNR is snr_ratio_db as given
+        (MINIMAL.replace("snr_ratio_db = 35", "snr_ratio_db = 35\npower_dbw = 0.0"),
+         "transceiver", "power_dbw"),
+        (MINIMAL.replace("snr_ratio_db = 35", "snr_ratio_db = 35\nbranches = 2"),
+         "transceiver", "branches"),
+        (MINIMAL.replace("snr_ratio_db = 35", "snr_ratio_db = 35\nkappa_t = 0.1"),
+         "transceiver", "kappa_t"),
+        # omega scales a link given by alpha/beta only
+        (MINIMAL.replace("alpha = 4.942\nbeta = 1.231", "distance = 1e3\nomega = 2.0"),
+         "link.2", "omega"),
+        # a link that is not misaligned reads no pointing error
+        (MINIMAL.replace("beta = 1.231", "beta = 1.231\nxi = 6.7\na_o = 0.8"),
+         "link.2", "xi/a_o"),
+        (MINIMAL.replace("beta = 1.231", "beta = 1.231\njitter = 0.01"), "link.2", "jitter"),
+        # a one-link budget has no surface to reflect from
+        (THZ_ONE_LINK.replace("bandwidth = 5e10", "bandwidth = 5e10\nris_reflection = 0.5"),
+         "transceiver", "ris_reflection"),
+        # a given SNR stands in for the whole link budget
+        (THZ_GEOMETRY.replace("bandwidth = 5e10", "bandwidth = 5e10\nsnr_ratio_db = 20"),
+         "transceiver", "power_dbw"),
+    ], ids=["fso_budget", "fso_branches", "fso_kappa_t", "geometry_omega", "unaligned_xi",
+            "unaligned_jitter", "one_link_ris", "snr_and_budget"])
+    def test_unread_field_exits_2(self, text, section, key, tmp_path, capsys):
+        path = tmp_path / "unread.cfg"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert f"[{section}] {key}: this " in capsys.readouterr().err
+
+    def test_threshold_without_distortion_exits_2(self):
+        # without kappa_t/kappa_r, gamma_th_db cancels out of the THz outage
+        cfg = parse_config(recipe_path("fig13_ideal"))
+        edit = replace(cfg, transceiver=replace(cfg.transceiver, gamma_th_db=3.0))
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(write_config(edit))
+        assert (info.value.section, info.value.key) == ("transceiver", "gamma_th_db")
+        worst = parse_config(recipe_path("fig13_worst"))
+        parse_config_text(write_config(replace(
+            worst, transceiver=replace(worst.transceiver, gamma_th_db=3.0))))
+
+    def test_budget_without_a_distance_exits_2(self, tmp_path, capsys):
+        # the budget's path loss reads every link's distance; a missing one
+        # raised a TypeError
+        path = tmp_path / "no_distance.cfg"
+        path.write_text(THZ_GEOMETRY.replace("variable = frequency", "variable = kappa_t")
+                        .replace("distance = 50.0\n", ""))
+        assert main(["run", str(path)]) == 2
+        assert "[link.2] distance:" in capsys.readouterr().err
 
 
 class TestRun:

@@ -364,6 +364,17 @@ class TestKs:
         with pytest.raises(DomainError, match=repr(bad)):
             ks_statistic(MIXED_21, np.array([0.5, bad, 1.0]))
 
+    @pytest.mark.parametrize("grid_points", [0, 1, 2.5])
+    def test_grid_needs_an_integer_of_at_least_two_points(self, grid_points):
+        # 0 and 1 raised scipy's bare ValueError, 2.5 a bare TypeError
+        with pytest.raises(DomainError, match="grid_points"):
+            ks_statistic(MIXED_21, np.array([0.5, 1.0, 2.0]), grid_points=grid_points)
+
+    def test_numpy_grid_points(self):
+        z = np.array([0.5, 1.0, 2.0])
+        assert ks_statistic(MIXED_21, z, grid_points=np.int64(64)) == ks_statistic(
+            MIXED_21, z, grid_points=64)
+
     def test_detects_wrong_model(self):
         rng = np.random.default_rng(5)
         wrong = rng.lognormal(0.0, 1.0, 20000)
