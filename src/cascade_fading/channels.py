@@ -42,6 +42,9 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
+# raised where a formula leaves the double range; the physics refuses it
+_OUT_OF_RANGE = (ZeroDivisionError, OverflowError)
+
 # Named (alpha, beta) pairs for weak / moderate / strong scintillation,
 # standard values quoted throughout the FSO literature (Omega = 1).
 TURBULENCE_PRESETS = {
@@ -55,7 +58,13 @@ def rytov_variance(cn2, wavelength, distance):
     """Plane-wave Rytov variance 1.23 Cn^2 (2 pi / lambda)^(7/6) d^(11/6)."""
     if cn2 < 0 or wavelength <= 0 or distance < 0:
         raise DomainError("rytov_variance needs cn2 >= 0, wavelength > 0, d >= 0")
-    return 1.23 * cn2 * (2.0 * math.pi / wavelength) ** (7.0 / 6.0) * distance ** (11.0 / 6.0)
+    try:
+        sigma_r2 = 1.23 * cn2 * (2.0 * math.pi / wavelength) ** (7.0 / 6.0) * distance ** (11.0 / 6.0)
+    except OverflowError:
+        sigma_r2 = math.inf
+    if sigma_r2 == math.inf:
+        raise DomainError(f"Rytov variance overflows: cn2={cn2!r}, lambda={wavelength!r}")
+    return sigma_r2
 
 
 def fso_gg_params(sigma_r2):
@@ -66,9 +75,12 @@ def fso_gg_params(sigma_r2):
     """
     if sigma_r2 <= 0:
         raise DomainError("sigma_r2 must be positive")
-    s65 = sigma_r2 ** (6.0 / 5.0)
-    alpha = 1.0 / (math.exp(0.49 * sigma_r2 / (1.0 + 1.11 * s65) ** (7.0 / 6.0)) - 1.0)
-    beta = 1.0 / (math.exp(0.51 * sigma_r2 / (1.0 + 0.69 * s65) ** (7.0 / 6.0)) - 1.0)
+    try:
+        s65 = sigma_r2 ** (6.0 / 5.0)
+        alpha = 1.0 / (math.exp(0.49 * sigma_r2 / (1.0 + 1.11 * s65) ** (7.0 / 6.0)) - 1.0)
+        beta = 1.0 / (math.exp(0.51 * sigma_r2 / (1.0 + 0.69 * s65) ** (7.0 / 6.0)) - 1.0)
+    except _OUT_OF_RANGE:
+        raise DomainError(f"Gamma-Gamma fit leaves the double range: {sigma_r2=!r}") from None
     return GammaGammaParams(alpha, beta, 1.0)
 
 
@@ -82,18 +94,22 @@ def thz_gg_params(sigma_r2, aperture_radius, wavelength, distance):
         raise DomainError("sigma_r2 must be positive")
     if aperture_radius < 0 or wavelength <= 0 or distance <= 0:
         raise DomainError("need aperture >= 0, wavelength > 0, distance > 0")
-    d2 = math.pi * aperture_radius**2 / (2.0 * wavelength * distance)
-    s65 = sigma_r2 ** (6.0 / 5.0)
-    alpha = 1.0 / (
-        math.exp(0.49 * sigma_r2 / (1.0 + 0.65 * d2 + 1.11 * s65) ** (7.0 / 6.0)) - 1.0
-    )
-    beta = 1.0 / (
-        math.exp(
-            0.51 * sigma_r2 * (1.0 + 0.69 * s65) ** (-5.0 / 6.0)
-            / (1.0 + 0.9 * d2 + 0.62 * d2 * s65)
+    try:
+        d2 = math.pi * aperture_radius**2 / (2.0 * wavelength * distance)
+        s65 = sigma_r2 ** (6.0 / 5.0)
+        alpha = 1.0 / (
+            math.exp(0.49 * sigma_r2 / (1.0 + 0.65 * d2 + 1.11 * s65) ** (7.0 / 6.0)) - 1.0
         )
-        - 1.0
-    )
+        beta = 1.0 / (
+            math.exp(
+                0.51 * sigma_r2 * (1.0 + 0.69 * s65) ** (-5.0 / 6.0)
+                / (1.0 + 0.9 * d2 + 0.62 * d2 * s65)
+            )
+            - 1.0
+        )
+    except _OUT_OF_RANGE:
+        raise DomainError(f"Gamma-Gamma fit leaves the double range: {sigma_r2=!r}, "
+                          f"{aperture_radius=!r}") from None
     return GammaGammaParams(alpha, beta, 1.0)
 
 
@@ -106,12 +122,16 @@ def misalignment_params(aperture_radius, beam_waist, jitter_std):
     """
     if aperture_radius <= 0 or beam_waist <= 0 or jitter_std <= 0:
         raise DomainError("aperture, beam waist and jitter must all be positive")
-    ups = math.sqrt(math.pi) * aperture_radius / (math.sqrt(2.0) * beam_waist)
-    a_o = math.erf(ups) ** 2
-    w_eq2 = beam_waist**2 * math.sqrt(math.pi) * math.erf(ups) / (
-        2.0 * ups * math.exp(-(ups**2))
-    )
-    xi = w_eq2 / (4.0 * jitter_std**2)
+    try:
+        ups = math.sqrt(math.pi) * aperture_radius / (math.sqrt(2.0) * beam_waist)
+        a_o = math.erf(ups) ** 2
+        w_eq2 = beam_waist**2 * math.sqrt(math.pi) * math.erf(ups) / (
+            2.0 * ups * math.exp(-(ups**2))
+        )
+        xi = w_eq2 / (4.0 * jitter_std**2)
+    except _OUT_OF_RANGE:
+        raise DomainError(f"pointing geometry leaves the double range: {aperture_radius=!r}, "
+                          f"{beam_waist=!r}, {jitter_std=!r}") from None
     return PointingErrorParams(xi, a_o)
 
 
@@ -235,19 +255,20 @@ def molecular_absorption(frequency, atm: ThzAtmosphere):
     coefficients carry their SI powers (1/Hz^k); the printed short forms
     seen in the literature are the mantissas of these.  Negative excursions
     of the polynomial fit below ~120 GHz are clamped to zero.  Outside the
-    100-500 GHz validity band a warning is emitted; above ~5.6e102 Hz, where
-    the cubic overflows, DomainError is raised.
+    100-500 GHz validity band a warning is emitted.  DomainError is raised
+    where the formula leaves the double range: above ~5.6e102 Hz, at or just
+    below the saturation-pressure pole T = 32.18 K, or near zero pressure.
     """
     if not 0 < frequency < math.inf:
         raise DomainError(f"frequency must be positive and finite, got {frequency!r}")
-    p_w = _saturated_water_vapor_pressure_hpa(atm.temperature, atm.pressure)
-    mu_w = (atm.humidity / 100.0) * (p_w * 100.0) / atm.pressure
-    g_a = 0.2205 * mu_w * (0.1303 * mu_w + 0.0294)
-    g_b = (0.4093 * mu_w + 0.0925) ** 2
-    g_c = 2.014 * mu_w * (0.1702 * mu_w + 0.0303)
-    g_d = (0.537 * mu_w + 0.0956) ** 2
     wavenumber = frequency / (100.0 * SPEED_OF_LIGHT)  # 1/cm
     try:
+        p_w = _saturated_water_vapor_pressure_hpa(atm.temperature, atm.pressure)
+        mu_w = (atm.humidity / 100.0) * (p_w * 100.0) / atm.pressure
+        g_a = 0.2205 * mu_w * (0.1303 * mu_w + 0.0294)
+        g_b = (0.4093 * mu_w + 0.0925) ** 2
+        g_c = 2.014 * mu_w * (0.1702 * mu_w + 0.0303)
+        g_d = (0.537 * mu_w + 0.0956) ** 2
         g1 = g_a / (g_b + (wavenumber - 10.835) ** 2)
         g2 = g_c / (g_d + (wavenumber - 12.664) ** 2)
         poly = (
@@ -256,8 +277,9 @@ def molecular_absorption(frequency, atm: ThzAtmosphere):
             + 9.06e-14 * frequency
             - 6.36e-3
         )
-    except OverflowError:  # float ** raises where the power would be inf
-        raise DomainError(f"kappa(f) overflows at f = {frequency!r} Hz") from None
+    except _OUT_OF_RANGE:  # T = 32.18 K is the pole of the saturation pressure
+        raise DomainError(f"kappa(f) leaves the double range at f = {frequency!r} Hz, "
+                          f"T = {atm.temperature!r} K, p = {atm.pressure!r} Pa") from None
     if not 100e9 <= frequency <= 500e9:
         warnings.warn(
             f"kappa(f) evaluated outside its 100-500 GHz validity band "
@@ -270,12 +292,10 @@ def molecular_absorption(frequency, atm: ThzAtmosphere):
 
 @dataclass(frozen=True)
 class ThzLinkBudget:
-    """Deterministic gains of an N-hop RIS-assisted THz link.
-
-    Amplitude path gains follow the Friis split c/(4 pi f d_i) with sqrt(G_s)
-    on the first hop, the RIS reflection coefficients in between, sqrt(G_d)
-    on the last, each damped by the molecular absorption exp(-kappa d / 2).
-    """
+    """Deterministic gains of an N-hop RIS-assisted THz link: N >= 1 hops
+    through N - 1 surfaces.  The gains (`thz_gain`) read `frequency`,
+    `distances`, `gain_tx`, `gain_rx` and `ris_reflection` (one per surface);
+    `aperture_radii`, `kappa_t` and `kappa_r` are checked but enter no gain."""
 
     frequency: float
     distances: tuple
@@ -299,8 +319,10 @@ class ThzLinkBudget:
         if len(self.aperture_radii) != len(self.distances):
             raise DomainError("one aperture radius per hop is required")
         n = len(self.distances)
-        if n >= 2 and len(self.ris_reflection) != n - 1:
-            raise DomainError("need one RIS reflection coefficient per surface")
+        if n < 1:
+            raise DomainError("a link budget needs at least one hop")
+        if len(self.ris_reflection) != n - 1:
+            raise DomainError(f"a {n}-hop budget takes {n - 1} RIS reflection coefficients")
         if self.gain_tx <= 0 or self.gain_rx <= 0:
             raise DomainError("antenna gains must be positive")
         if any(not 0.0 < r <= 1.0 for r in self.ris_reflection):
@@ -318,19 +340,15 @@ class ThzLinkBudget:
 
 
 def thz_gain(budget: ThzLinkBudget, hop, atm: ThzAtmosphere):
-    """Deterministic amplitude gain g_i of hop `hop` (1-indexed)."""
+    """Deterministic amplitude gain of hop `hop` (1-indexed): the Friis spreading
+    c/(4 pi f d) damped by exp(-kappa d / 2), times sqrt(G_tx) on hop 1, else
+    the reflection of the surface it leaves, and sqrt(G_rx) on the last hop."""
     n = budget.n_hops
     if not 1 <= hop <= n:
         raise DomainError(f"hop index {hop} outside 1..{n}")
     d = budget.distances[hop - 1]
     spreading = SPEED_OF_LIGHT / (4.0 * math.pi * budget.frequency * d)
-    if n == 1:
-        ant = math.sqrt(budget.gain_tx * budget.gain_rx)
-    elif hop == 1:
-        ant = math.sqrt(budget.gain_tx)
-    elif hop == n:
-        ant = math.sqrt(budget.gain_rx)
-    else:
-        ant = budget.ris_reflection[hop - 2]
+    leaves = math.sqrt(budget.gain_tx) if hop == 1 else budget.ris_reflection[hop - 2]
+    reaches = math.sqrt(budget.gain_rx) if hop == n else 1.0
     kappa = molecular_absorption(budget.frequency, atm)
-    return spreading * ant * math.exp(-0.5 * kappa * d)
+    return spreading * leaves * reaches * math.exp(-0.5 * kappa * d)

@@ -46,6 +46,7 @@ from .distributions import (
     z_pdf,
 )
 from .performance import (
+    _flag,
     diversity_order,
     gamma_s,
     op_fso_cascade,
@@ -303,7 +304,7 @@ def _reads(cfg: ScenarioConfig):
     from its default, and every sweep variable that sets none of these.
     Without kappa_t/kappa_r, gamma_th_db cancels out of the THz outage; a
     thz_cascade config that neither gives nor sweeps the SNR takes it from
-    the link budget, which applies ris_reflection to middle hops only."""
+    the link budget."""
     trx, var = cfg.transceiver, cfg.sweep.variable
     thz = cfg.scenario == "thz_cascade"
     budget = thz and trx.snr_ratio_db is None and var != "snr_db"
@@ -320,7 +321,7 @@ def _reads(cfg: ScenarioConfig):
         if budget or trx.kappa_t or trx.kappa_r or var in ("kappa_t", "kappa_r"):
             add("transceiver", "gamma_th_db")
     if budget:
-        add("transceiver", *_BUDGET, *(("ris_reflection",) if len(cfg.links) > 2 else ()))
+        add("transceiver", *_BUDGET, *(("ris_reflection",) if len(cfg.links) > 1 else ()))
         add("atmosphere", "frequency", "temperature", "pressure", "humidity")
     for i, link in enumerate(cfg.links, start=1):
         sec = f"link.{i}"
@@ -443,7 +444,7 @@ def _gamma_ratio(cfg: ScenarioConfig):
         aperture_radii=tuple(l.aperture or 0.0 for l in cfg.links),
         gain_tx=_db_to_linear(trx.gain_tx_dbi, "gain_tx_dbi"),
         gain_rx=_db_to_linear(trx.gain_rx_dbi, "gain_rx_dbi"),
-        ris_reflection=(trx.ris_reflection,) * max(len(cfg.links) - 1, 0),
+        ris_reflection=(trx.ris_reflection,) * (len(cfg.links) - 1),
     )
     power = _db_to_linear(trx.power_dbw, "power_dbw")
     noise = (BOLTZMANN * atm.temperature * trx.bandwidth
@@ -569,18 +570,22 @@ def run(cfg: ScenarioConfig, mode="analytic", seed=1, samples=10**6, out=None):
 
 
 def evaluate(cfg: ScenarioConfig, quantity, at=None):
-    """Single-value spot check: pdf | cdf | kappa | diversity."""
-    if quantity == "diversity":
-        return diversity_order(build_product(cfg)), "clean"
-    if at is None:
-        raise ConfigError("-", "--at", f"quantity {quantity!r} needs --at")
-    if quantity == "kappa":
-        atm, flag = _thz_atmosphere(cfg), "clean"
-    elif quantity in ("cdf", "pdf"):
-        ch = build_product(cfg)
-        flag = "perturbed" if ch.is_degenerate else "clean"
-    else:
-        raise ConfigError("-", "--quantity", f"unknown quantity {quantity!r}")
+    """Single-value spot check: pdf | cdf | kappa | diversity.  Channel
+    physics outside its domain raises ConfigError, as it does in `run`."""
+    try:
+        if quantity == "diversity":
+            return diversity_order(build_product(cfg)), "clean"
+        if at is None:
+            raise ConfigError("-", "--at", f"quantity {quantity!r} needs --at")
+        if quantity == "kappa":
+            atm, flag = _thz_atmosphere(cfg), "clean"
+        elif quantity in ("cdf", "pdf"):
+            ch = build_product(cfg)
+            flag = _flag(ch)
+        else:
+            raise ConfigError("-", "--quantity", f"unknown quantity {quantity!r}")
+    except DomainError as exc:
+        raise ConfigError("-", "config", str(exc)) from exc
     try:
         if quantity == "kappa":
             value = molecular_absorption(at, atm)

@@ -105,8 +105,9 @@ class GammaGammaParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0 and self.omega > 0):
-            raise DomainError(f"Gamma-Gamma parameters must be positive: {self}")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf
+                and 0 < self.omega < math.inf):
+            raise DomainError(f"Gamma-Gamma parameters must be positive and finite: {self}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,8 @@ class PointingErrorParams:
     a_o: float
 
     def __post_init__(self):
-        if not self.xi > 0:
-            raise DomainError(f"xi must be positive, got {self.xi}")
+        if not 0 < self.xi < math.inf:
+            raise DomainError(f"xi must be positive and finite, got {self.xi}")
         if not 0.0 < self.a_o <= 1.0:
             raise DomainError(f"a_o must lie in (0, 1], got {self.a_o}")
 

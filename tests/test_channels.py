@@ -42,6 +42,12 @@ class TestRytov:
         # 200 m lands in the moderate band 1 < sigma_R < 2
         assert 1.0 < math.sqrt(rytov_variance(2.3e-9, lam, 200.0)) < 2.0
 
+    # the product overflows to inf; the power raises OverflowError
+    @pytest.mark.parametrize("args", [(1e305, 1e-3, 100.0), (1.0, 1e-300, 100.0)])
+    def test_overflow_refused(self, args):
+        with pytest.raises(DomainError, match="Rytov variance overflows"):
+            rytov_variance(*args)
+
 
 class TestGgParams:
     def test_vanishing_turbulence_limit(self):
@@ -96,6 +102,20 @@ class TestGgParams:
             p = thz_gg_params(float(s2), 0.05, lam, 150.0)
             assert p.alpha > p.beta > 0
 
+    # where the fits leave the double range they refuse; they keep their
+    # 1/(exp(x) - 1) form, in which exp(x) - 1 is 0.0 for x below ~1.1e-16
+    @pytest.mark.parametrize("sigma_r2", [1e-300, 1e300])
+    def test_fso_double_range(self, sigma_r2):
+        with pytest.raises(DomainError, match="double range"):
+            fso_gg_params(sigma_r2)
+
+    @pytest.mark.parametrize("args", [(1e-300, 0.0, 1e-3, 100.0),
+                                      (1e300, 0.0, 1e-3, 100.0),
+                                      (0.35, 1e300, 1e-3, 100.0)])
+    def test_thz_double_range(self, args):
+        with pytest.raises(DomainError, match="double range"):
+            thz_gg_params(*args)
+
 
 class TestMisalignment:
     def test_derived_quantities(self):
@@ -121,6 +141,15 @@ class TestMisalignment:
     def test_domain(self):
         with pytest.raises(DomainError):
             misalignment_params(0.0, 0.1, 0.01)
+
+    @pytest.mark.parametrize("args", [
+        (1e300, 0.1, 0.01), (0.05, 1e-300, 0.01), (0.05, 1e300, 0.01),
+        (0.05, 0.1, 1e-300), (0.05, 0.1, 1e300),
+        # jitter^2 is subnormal, so xi is inf, which PointingErrorParams refuses
+        (0.05, 0.1, 1e-160)])
+    def test_double_range_refused(self, args):
+        with pytest.raises(DomainError):
+            misalignment_params(*args)
 
 
 class TestFsoGain:
@@ -178,6 +207,14 @@ class TestMolecularAbsorption:
         with pytest.raises(DomainError):
             molecular_absorption(frequency, ThzAtmosphere())
 
+    # 32.18 K is the pole of the saturation pressure, below which its
+    # exponent overflows; at 1e-300 Pa the water-vapor fraction overflows
+    @pytest.mark.parametrize("atm", [dict(temperature=32.18), dict(temperature=32.0),
+                                     dict(pressure=1e-300)], ids=str)
+    def test_atmosphere_outside_double_range(self, atm):
+        with pytest.raises(DomainError, match="double range"):
+            molecular_absorption(300e9, ThzAtmosphere(**atm))
+
 
 class TestThzGain:
     def _budget(self, **kw):
@@ -216,11 +253,33 @@ class TestThzGain:
                                           aperture_radii=(0.0,) * 3,
                                           ris_reflection=(1.0, 1.0)), 1, atm) \
             == pytest.approx(math.sqrt(1e5))
-        # middle hop carries the preceding RIS reflection coefficient
+        # hop k > 1 carries the reflection of the surface it leaves, and the
+        # last hop also the receive gain
         assert g2 == pytest.approx(
             SPEED_OF_LIGHT / (4 * math.pi * 300e9 * 50.0) * 0.9
             * math.exp(-0.5 * molecular_absorption(300e9, atm) * 50.0), rel=1e-12)
-        assert g3 > 0
+        assert g3 == pytest.approx(
+            SPEED_OF_LIGHT / (4 * math.pi * 300e9 * 100.0) * 0.8 * math.sqrt(4e5)
+            * math.exp(-0.5 * molecular_absorption(300e9, atm) * 100.0), rel=1e-12)
+
+    def test_one_hop_carries_both_antenna_gains(self):
+        atm = ThzAtmosphere()
+        budget = self._budget(gain_tx=1e5, gain_rx=4e5, distances=(100.0,),
+                              aperture_radii=(0.0,), ris_reflection=())
+        assert thz_gain(budget, 1, atm) == pytest.approx(
+            SPEED_OF_LIGHT / (4 * math.pi * 300e9 * 100.0) * math.sqrt(1e5 * 4e5)
+            * math.exp(-0.5 * molecular_absorption(300e9, atm) * 100.0), rel=1e-15)
+
+    @pytest.mark.parametrize("distances,reflections", [
+        ((100.0,), (0.5,)),  # one hop has no surface
+        ((), ()),  # no hop
+        ((100.0, 100.0), ()),
+        ((100.0, 100.0, 100.0), (0.9,)),
+    ])
+    def test_one_reflection_per_surface(self, distances, reflections):
+        with pytest.raises(DomainError):
+            self._budget(distances=distances, aperture_radii=(0.0,) * len(distances),
+                         ris_reflection=reflections)
 
     def test_hop_index_validated(self):
         with pytest.raises(DomainError):

@@ -473,6 +473,67 @@ class TestReadFields:
         assert "[link.2] distance:" in capsys.readouterr().err
 
 
+def _with_field(cfg, section, name, value):
+    """cfg with field `name` of its part `section` set to `value`."""
+    part = replace(dict(cli._parts(cfg))[section], **{name: value})
+    if section.startswith("link."):
+        k = int(section[5:]) - 1
+        return replace(cfg, links=cfg.links[:k] + (part,) + cfg.links[k + 1:])
+    return replace(cfg, **{section: part})
+
+
+class TestDoubleRange:
+    """A physics input beyond its formula's double range exits 2 naming the
+    sweep value; no input ends in a traceback."""
+
+    def test_every_recipe_field_at_the_ends_of_the_double_range(self, tmp_path, capsys):
+        # each float field written in a shipped recipe, set alone to 1e-300
+        # and to 1e300 on a 2-point grid; 160 of these ended in a bare
+        # ZeroDivisionError or OverflowError from the channel physics
+        path, edits, codes = tmp_path / "edit.cfg", 0, set()
+        for name in RECIPES:
+            cfg = parse_config(recipe_path(name))
+            cfg = replace(cfg, sweep=replace(cfg.sweep, points=2))
+            for section, part in cli._parts(cfg):
+                for f in fields(part):
+                    value = getattr(part, f.name)
+                    if not isinstance(value, float) or value == f.default:
+                        continue
+                    for extreme in (1e-300, 1e300):
+                        path.write_text(write_config(_with_field(cfg, section, f.name, extreme)))
+                        codes.add(main(["run", str(path)]))
+                        edits += 1
+        capsys.readouterr()
+        assert edits == 430
+        assert codes <= {0, 2, 3}
+
+    @pytest.mark.parametrize("key,value", [("temperature", 32.18), ("temperature", 32.0),
+                                           ("pressure", 1e-300)])
+    def test_atmosphere_outside_the_absorption_formula(self, key, value, tmp_path, capsys):
+        # 32.18 K is the pole of the saturation pressure, below which its
+        # exponent overflows; at 1e-300 Pa the water-vapor fraction overflows
+        cfg = parse_config(recipe_path("fig11"))
+        path = tmp_path / "atm.cfg"
+        path.write_text(write_config(replace(
+            _with_field(cfg, "atmosphere", key, value), sweep=replace(cfg.sweep, points=2))))
+        assert main(["run", str(path)]) == 2
+        assert "[sweep] frequency: sweep_value=1.8e+11: kappa(f) leaves the double range" \
+            in capsys.readouterr().err
+        assert main(["eval", str(path), "--quantity", "kappa", "--at", "3e11"]) == 2
+
+    def test_vanishing_turbulence_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cn2.cfg"
+        path.write_text(write_config(_with_field(
+            parse_config(recipe_path("fig9")), "atmosphere", "cn2", 1e-300)))
+        assert main(["run", str(path)]) == 2
+        assert "[sweep] distance_2: sweep_value=100: Gamma-Gamma fit leaves " \
+            "the double range" in capsys.readouterr().err
+        # eval builds the channel outside a sweep; it raised the DomainError
+        for quantity in ("cdf", "pdf", "diversity"):
+            assert main(["eval", str(path), "--quantity", quantity, "--at", "0.5"]) == 2
+            assert "[-] config: Gamma-Gamma fit leaves" in capsys.readouterr().err
+
+
 class TestRun:
     def test_csv_schema_and_monotonicity(self):
         cfg = parse_config(recipe_path("fig3_weak_weak"))

@@ -216,6 +216,17 @@ class TestComposite:
         assert CompositeProduct((WEAK, WEAK)).is_degenerate
         assert not MIXED_21.is_degenerate
 
+    @pytest.mark.parametrize("make", [
+        lambda: GammaGammaParams(math.inf, 2.0), lambda: GammaGammaParams(2.0, math.inf),
+        lambda: GammaGammaParams(2.0, 2.0, math.inf), lambda: GammaGammaParams(math.nan, 2.0),
+        lambda: PointingErrorParams(math.inf, 0.8), lambda: PointingErrorParams(math.nan, 0.8),
+    ], ids=["alpha", "beta", "omega", "alpha_nan", "xi", "xi_nan"])
+    def test_non_finite_parameters_refused(self, make):
+        # an infinite alpha reached z_cdf's bare math domain error, and an
+        # infinite xi ran the line to its node cap before refusing
+        with pytest.raises(DomainError):
+            make()
+
 
 class TestCompositeCdfPdf:
     def test_n1l1_cdf_against_double_quadrature(self):

@@ -214,6 +214,18 @@ class TestGammaS:
         g2 = math.prod(thz_gain(b2, i, atm) for i in (1, 2))
         assert ratio == pytest.approx(g3 / g2, rel=1e-12)
 
+    @pytest.mark.parametrize("distances,reflections", [
+        ((100.0, 150.0), (0.5,)), ((100.0, 150.0, 80.0), (0.9, 0.8))])
+    def test_every_surface_reflects(self, distances, reflections):
+        # the path gain takes each surface's reflection once
+        atm = ThzAtmosphere()
+        zeros = (0.0,) * len(distances)
+        lossy = ThzLinkBudget(300e9, distances, zeros, 1e5, 4e5, reflections)
+        lossless = ThzLinkBudget(300e9, distances, zeros, 1e5, 4e5,
+                                 (1.0,) * len(reflections))
+        ratio = gamma_s(lossy, 1.0, 1e-9, atm) / gamma_s(lossless, 1.0, 1e-9, atm)
+        assert ratio == pytest.approx(math.prod(reflections), rel=1e-14)
+
     def test_thermal_noise_fixture(self):
         # 50 GHz bandwidth at 296 K with a 9 dB lumped receiver figure
         from scipy.constants import k as k_b
