@@ -68,10 +68,9 @@ __all__ = [
     "sample_z",
 ]
 
-# Refusal guards on the error estimate besides the CDF's relative
-# _GUARD_REL: the PDF's relative one, and the CDF's absolute slack.
-_GUARD_REL_PDF = 2e-3
-_GUARD_ABS = 1e-9
+# Gamma-Gamma shapes stay below this: math.lgamma, which the law's
+# normalisation takes of each, overflows a double from about 2.556e305.
+_SHAPE_MAX = 2.5e305
 
 # z_cdf_asymptotic: the refusal guard on its error estimate, relative; how
 # far past the first gamma pole to search for the poles it keeps.
@@ -108,6 +107,12 @@ class GammaGammaParams:
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf
                 and 0 < self.omega < math.inf):
             raise DomainError(f"Gamma-Gamma parameters must be positive and finite: {self}")
+        rate = self.alpha * self.beta
+        if not (0 < rate < math.inf and 0 < self.omega / rate < math.inf
+                and max(self.alpha, self.beta) < _SHAPE_MAX):
+            raise DomainError(f"Gamma-Gamma law leaves the double range (alpha beta or "
+                              f"Omega / (alpha beta) is 0 or inf, or lnGamma of a shape "
+                              f"overflows): {self}")
 
 
 @dataclass(frozen=True)
@@ -284,9 +289,11 @@ def _cdf_at(law: _MellinLaw, x):
     else:
         q, err = _line_integral(law, lx, "Q")
         val = 1.0 - q
-    if not err <= _GUARD_REL * abs(val) + _GUARD_ABS:
+    # a probability, up to its error estimate: a value out of range is
+    # wrong by more than its estimate admits
+    if not (err <= _GUARD_REL * abs(val) and -err <= val <= 1.0 + err):
         _accuracy_fail("CDF", val, err)
-    return val
+    return min(val, 1.0) if val > 0.0 else 0.0
 
 
 def _pdf_at(law: _MellinLaw, x):
@@ -297,7 +304,7 @@ def _pdf_at(law: _MellinLaw, x):
     # that its estimate underflows, the estimate proves nothing
     lx = math.log(x)
     val, err = _line_integral(law, lx, "f", -lx)
-    if not (err <= _GUARD_REL_PDF * abs(val) + 1e-12 and (err > 0.0 or val == 0.0)):
+    if not (err <= _GUARD_REL * abs(val) and (err > 0.0 or val == 0.0)):
         _accuracy_fail("PDF", val, err)
     return val
 
@@ -307,8 +314,10 @@ def z_cdf(ch: CompositeProduct, x):
 
     Below E[ln Z] the Mellin-Barnes integral of F is taken on a line left of
     the origin, above it the complement's on a line right of it, so the
-    small side of the distribution keeps its relative precision.  Raises
-    AccuracyError when the error estimate exceeds the refusal guard.
+    small side of the distribution keeps its relative precision.  Returns a
+    value in [0, 1], or raises AccuracyError where the error estimate exceeds
+    3e-4 of the value or the value lies outside [0, 1] by more than its
+    estimate.
     """
     return _pointwise(partial(_cdf_at, ch._law), x, allow_zero=True)
 
@@ -326,8 +335,9 @@ def _pole_clusters(law: _MellinLaw, rho):
     first pole, their last pole).  The search starts past the first gamma
     poles and deepens until a cluster follows those."""
     for depth in law.shapes.min() + np.arange(3.0, _CLUSTER_DEPTH, 2.0):
-        poles = np.sort(np.concatenate([-(b + np.arange(depth - b)) for b in law.shapes]
-                                       + [-law.xis[law.xis < depth]]))[::-1]
+        poles = np.sort(np.concatenate(
+            [-(b + np.arange(max(depth - b, 0.0))) for b in law.shapes]
+            + [-law.xis[law.xis < depth]]))[::-1]
         clusters = np.split(poles, np.flatnonzero(poles[:-1] - poles[1:] >= rho) + 1)
         kept = sum(c[0] >= -(law.b_min + 1.0) for c in clusters)
         if len(clusters) > kept:

@@ -48,10 +48,6 @@ class OutageResult:
             raise DomainError(f"probability {self.probability} outside [0, 1]")
 
 
-def _clip01(p):
-    return min(max(float(p), 0.0), 1.0)
-
-
 def _flag(ch: CompositeProduct):
     return "perturbed" if ch.is_degenerate else "clean"
 
@@ -60,16 +56,15 @@ def op_fso_cascade(ch: CompositeProduct, snr_ratio):
     """Exact outage of the cascaded FSO system at rho_s/rho_th = snr_ratio."""
     if snr_ratio <= 0:
         raise DomainError("snr_ratio must be positive")
-    p = z_cdf(ch, math.sqrt(1.0 / snr_ratio))
-    return OutageResult(_clip01(p), "exact", _flag(ch))
+    return OutageResult(z_cdf(ch, math.sqrt(1.0 / snr_ratio)), "exact", _flag(ch))
 
 
 def op_fso_cascade_asymptotic(ch: CompositeProduct, snr_ratio):
     """High-SNR power-law approximation of the cascaded FSO outage."""
     if snr_ratio <= 0:
         raise DomainError("snr_ratio must be positive")
-    p = z_cdf_asymptotic(ch, math.sqrt(1.0 / snr_ratio))
-    return OutageResult(_clip01(p), "asymptotic", _flag(ch))
+    return OutageResult(z_cdf_asymptotic(ch, math.sqrt(1.0 / snr_ratio)), "asymptotic",
+                        _flag(ch))
 
 
 def diversity_order(ch: CompositeProduct):
@@ -92,8 +87,7 @@ def op_fso_parallel_bound(branch: CompositeProduct, n_branches: int, snr_ratio):
         raise DomainError("snr_ratio must be positive")
     flat = branch.replicated(n_branches)
     t = math.sqrt(1.0 / (n_branches * snr_ratio))
-    p = z_cdf(flat, t**n_branches)
-    return OutageResult(_clip01(p), "upper_bound", _flag(flat))
+    return OutageResult(z_cdf(flat, t**n_branches), "upper_bound", _flag(flat))
 
 
 def op_thz(ch: CompositeProduct, gamma_ratio, gamma_th, kappa_t=0.0, kappa_r=0.0):
@@ -111,8 +105,7 @@ def op_thz(ch: CompositeProduct, gamma_ratio, gamma_th, kappa_t=0.0, kappa_r=0.0
     if k2 > 0.0 and gamma_th * k2 >= 1.0:
         return OutageResult(1.0, "hard_ceiling", "clean")
     x = math.sqrt(1.0 / (gamma_ratio * (1.0 - gamma_th * k2)))
-    p = z_cdf(ch, x)
-    return OutageResult(_clip01(p), "exact", _flag(ch))
+    return OutageResult(z_cdf(ch, x), "exact", _flag(ch))
 
 
 def gamma_s(budget: ThzLinkBudget, power_tx, noise, atm: ThzAtmosphere | None = None):

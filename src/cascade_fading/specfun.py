@@ -78,10 +78,12 @@ _MAX_TERMS = 10_000
 # few hundred ulp over a long series in double precision.
 _TERM_EPS = 1e-13
 
-# Refusal guard on the error estimate of a line integral, the gap between
-# the trapezoidal sums on steps h and 2h, relative to the value.  The coarse
-# sum is far less accurate than the returned fine one, so the estimate is
-# conservative; tests pin the true accuracy against independent oracles.
+# The one refusal bound of a line integral, relative to its value: on its
+# error estimate, the gap between the trapezoidal sums on steps h and 2h,
+# and on the rounding error of its log integrand (see _line_plan).  The
+# coarse sum is far less accurate than the returned fine one, so the
+# estimate is conservative; tests pin the true accuracy against independent
+# oracles.
 _GUARD_REL = 3e-4
 
 # Target size of the discretization and truncation errors of a line
@@ -571,14 +573,26 @@ class _GammaKernel:
 
     def log_size(self, c, lx, pole):
         """log of the real integrand |x^-c K(c)| (over |c| when pole)."""
-        v = c * (self.log_scale - lx) + self.log_norm
+        return self.log_size_bulk(c, lx, pole)[0]
+
+    def log_size_bulk(self, c, lx, pole):
+        """log_size at c, and the sum of the magnitudes of the terms it adds:
+        eps times that bounds its rounding error."""
+        t = c * (self.log_scale - lx)
+        v, m = t + self.log_norm, abs(t) + abs(self.log_norm)
         for b, k in self.plus:
-            v += k * math.lgamma(b + c)
+            t = k * math.lgamma(b + c)
+            v, m = v + t, m + abs(t)
         for b, k in self.minus:
-            v += k * math.lgamma(b - c)
+            t = k * math.lgamma(b - c)
+            v, m = v + t, m + abs(t)
         for xi in self.pointing:
-            v -= math.log(abs(xi + c))
-        return v - math.log(abs(c)) if pole else v
+            t = math.log(abs(xi + c))
+            v, m = v - t, m + abs(t)
+        if pole:
+            t = math.log(abs(c))
+            v, m = v - t, m + abs(t)
+        return v, m
 
     def slopes(self, c, lx, pole):
         """First and second derivative of log_size in c."""
@@ -673,8 +687,12 @@ def _line_plan(kern, lx, lo, hi, c, pole):
     the line; it may lie left of other Gamma poles, as the remainder line of
     z_cdf_asymptotic does.  Where the saddle search meets a pole of the real
     slice, or no minimum, the plan refuses.  It depends on (kernel, lx)
-    alone, so scalar and array callers agree bit for bit.  Where the peak
-    proves the value zero in double precision (_MB_LOG_ZERO), it has no nodes.
+    alone, so scalar and array callers agree bit for bit.  The peak's log
+    carries a rounding error of about eps times the sum of the magnitudes of
+    its terms (log_size_bulk), a relative error of the value.  Where the peak
+    plus that error proves the value zero in double precision
+    (_MB_LOG_ZERO), the plan has no nodes; elsewhere, where that error
+    exceeds _GUARD_REL, it refuses.
 
     The rule is the trapezoidal one in u, with t = w sinh(u): steps as fine
     as a uniform rule's across the peak at t = 0, growing geometrically
@@ -715,17 +733,22 @@ def _line_plan(kern, lx, lo, hi, c, pole):
     """
     try:
         c, curv = _saddle(kern, lx, lo, hi, c, pole)
-        peak = kern.log_size(c, lx, pole)
+        peak, bulk = kern.log_size_bulk(c, lx, pole)
         if not curv > 0.0:
             raise ValueError("no minimum")
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         # a pole of digamma or lnGamma met by the search, or an overflowing lnGamma
         raise AccuracyError(
             f"Mellin-Barnes integrand has no saddle on a line (ln x = {lx:.6g})") from exc
-    if peak < _MB_LOG_ZERO:
+    r = sys.float_info.epsilon * bulk
+    if peak + r < _MB_LOG_ZERO:
         # Far out the saddle line has no digits left to size a step from,
         # and the value is zero anyway: no nodes
         return _LinePlan(lx, c, pole, peak, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    if not r <= _GUARD_REL:
+        raise AccuracyError(
+            f"Mellin-Barnes integrand keeps no digits on its line (ln x = {lx:.6g}): "
+            f"its log carries a rounding error of {r:.1e}")
     # The node count grows like (edge - peak + budget) / eta.  Any a short
     # of the nearest pole is valid, and edge - peak grows only like
     # ln(1 / (1 - a / d)) at distance d, so a reaches _MB_STRIP of the way to

@@ -521,6 +521,37 @@ class TestDoubleRange:
             in capsys.readouterr().err
         assert main(["eval", str(path), "--quantity", "kappa", "--at", "3e11"]) == 2
 
+    def test_gamma_gamma_scale_beyond_the_double_range_exits_2(self, tmp_path, capsys):
+        # alpha beta overflows, so the scale Omega / (alpha beta) is 0: this
+        # ended run in a bare math domain error
+        cfg = parse_config(recipe_path("fig3_weak_weak"))
+        cfg = _with_field(_with_field(cfg, "link.1", "alpha", 1e300), "link.1", "beta", 1e300)
+        path = tmp_path / "gg.cfg"
+        path.write_text(write_config(cfg))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "[sweep] snr_db: sweep_value=20: Gamma-Gamma law leaves the double range" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("beta,code", [(1e8, 0), (1e10, 0), (1e11, 3), (1e16, 3),
+                                           (1e20, 3), (1e300, 3)])
+    def test_huge_shape_refused_at_every_point(self, beta, code, tmp_path, capsys):
+        # from beta = 1e11 the log integrand keeps no digits; at 1e16 run
+        # printed outage 1 at 10 dB and 2.8e-9 at 12.5 dB, and exited 0
+        path = tmp_path / "beta.cfg"
+        path.write_text(write_config(_with_field(
+            parse_config(recipe_path("fig4_strong_n3")), "link.1", "beta", beta)))
+        assert main(["run", str(path)]) == code
+        out, err = capsys.readouterr()
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 13
+        if code:
+            assert err.count("keeps no digits") == 13
+            assert all(row[1] == "" and row[-1] == "failed" for row in rows)
+        else:
+            ops = [float(row[1]) for row in rows]
+            assert all(a > b for a, b in zip(ops, ops[1:])) and 0.03 < ops[-1] < ops[0] < 0.5
+
     def test_vanishing_turbulence_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cn2.cfg"
         path.write_text(write_config(_with_field(
@@ -708,6 +739,17 @@ class TestEval:
         cfg = parse_config(recipe_path("fig3_weak_weak"))
         value, _ = evaluate(cfg, "pdf", at=0.5)
         assert value > 0
+
+    @pytest.mark.parametrize("quantity,at,key", [
+        ("cdf", None, "--at"), ("pdf", None, "--at"), ("kappa", None, "--at"),
+        ("entropy", 0.5, "--quantity"),
+    ])
+    def test_unusable_request_is_a_config_error(self, quantity, at, key):
+        # main's argparse never passes these, but evaluate is public
+        cfg = parse_config(recipe_path("fig3_weak_weak"))
+        with pytest.raises(ConfigError) as info:
+            evaluate(cfg, quantity, at)
+        assert f"[-] {key}" in str(info.value)
 
 
 class TestColdImport:

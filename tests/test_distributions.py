@@ -220,12 +220,49 @@ class TestComposite:
         lambda: GammaGammaParams(math.inf, 2.0), lambda: GammaGammaParams(2.0, math.inf),
         lambda: GammaGammaParams(2.0, 2.0, math.inf), lambda: GammaGammaParams(math.nan, 2.0),
         lambda: PointingErrorParams(math.inf, 0.8), lambda: PointingErrorParams(math.nan, 0.8),
-    ], ids=["alpha", "beta", "omega", "alpha_nan", "xi", "xi_nan"])
+        lambda: GammaGammaParams(1e160, 1e160), lambda: GammaGammaParams(1e300, 1e300),
+        lambda: GammaGammaParams(1e-170, 1e-170), lambda: GammaGammaParams(1e-200, 1e-200, 1e300),
+        lambda: GammaGammaParams(0.5, 1e307),
+    ], ids=["alpha", "beta", "omega", "alpha_nan", "xi", "xi_nan", "rate_inf", "rate_inf_300",
+            "rate_zero", "scale_inf", "lgamma_inf"])
     def test_non_finite_parameters_refused(self, make):
         # an infinite alpha reached z_cdf's bare math domain error, and an
-        # infinite xi ran the line to its node cap before refusing
+        # infinite xi ran the line to its node cap before refusing; an alpha
+        # beta that overflows or underflows raised a bare ValueError or
+        # ZeroDivisionError there, and a shape whose lnGamma overflows a bare
+        # OverflowError
         with pytest.raises(DomainError):
             make()
+
+    @pytest.mark.parametrize("beta", [1e11, 1e16, 1e20, 1e300])
+    def test_shape_without_digits_refused(self, beta):
+        # lnGamma(beta) and the scale's log leave the log integrand a rounding
+        # error above 3e-4; z_cdf gave 1.5e23 at x = 0.1 for beta = 1e20
+        ch = CompositeProduct((GammaGammaParams(4.942, beta), STRONG, STRONG))
+        for x in (1e-3, 0.1, 1.0, 10.0):
+            with pytest.raises(AccuracyError, match="keeps no digits"):
+                z_cdf(ch, x)
+        with pytest.raises(AccuracyError, match="keeps no digits"):
+            z_pdf(ch, 0.1)
+        # from beta ~ 1e19 the pole search of the asymptote raised a bare
+        # ValueError from numpy's arange
+        with pytest.raises(AccuracyError, match="keeps no digits"):
+            z_cdf_asymptotic(ch, 1e-3)
+
+    @pytest.mark.parametrize("beta,rel", [(1e8, 1e-6), (1e10, 3e-4)])
+    def test_large_shape_within_its_bound(self, beta, rel):
+        # as beta grows the link tends to a Gamma(alpha) one, whose product
+        # with the two strong links has the CDF G^{5,1}_{1,6}; beta moves it
+        # by about 1/beta.  At 1e10 the rounding bound is about 1e-4 and the
+        # value 4.7e-5 off: kept, within the one refusal bound 3e-4
+        a, b = STRONG.alpha, STRONG.beta
+        shapes = (a, a, b, a, b)
+        gamma_limit = MeijerGSpec(5, 1, 1, 6, (1.0,), shapes + (0.0,))
+        ch = CompositeProduct((GammaGammaParams(a, beta), STRONG, STRONG))
+        for x in (1e-3, 0.1, 1.0, 10.0):
+            want = (specfun.meijer_g(gamma_limit, a * (a * b) ** 2 * x).value
+                    / math.prod(math.gamma(v) for v in shapes))
+            assert z_cdf(ch, x) == pytest.approx(want, rel=rel)
 
 
 class TestCompositeCdfPdf:
@@ -359,6 +396,38 @@ class TestCompositeCdfPdf:
             with pytest.raises(error) as info:
                 fn(ch, arg)
             assert str(info.value) == message, arg
+
+    @pytest.mark.parametrize("fn,kind", [(z_cdf, "CDF"), (z_pdf, "PDF")])
+    @pytest.mark.parametrize("err,refused", [(2.9e-4 * 0.5, False), (3.1e-4 * 0.5, True)])
+    def test_one_refusal_bound(self, monkeypatch, fn, kind, err, refused):
+        # CDF and PDF refuse alike where the estimate exceeds 3e-4 of the value
+        monkeypatch.setattr(distributions, "_line_integral", lambda *args: (0.5, err))
+        ch = CompositeProduct((WEAK,))
+        if refused:
+            with pytest.raises(AccuracyError, match=f"{kind} evaluation lost"):
+                fn(ch, 0.1)
+        else:
+            assert fn(ch, 0.1) == 0.5
+
+    @pytest.mark.parametrize("x,line,want", [
+        # F's line below E[ln Z], Q's above it: (value, estimate) of the line
+        (0.1, (1.01, 1e-4), None),
+        (0.1, (1.0 + 5e-11, 1e-10), 1.0),
+        (0.1, (-0.0, 0.0), 0.0),
+        (10.0, (-1e-10, 1e-9), 1.0),
+        (10.0, (1.5, 1e-4), None),
+    ])
+    def test_cdf_is_a_probability_or_refuses(self, monkeypatch, x, line, want):
+        # a CDF outside [-err, 1 + err] refuses; one inside is clamped to
+        # [0, 1], never -0.0
+        monkeypatch.setattr(distributions, "_line_integral", lambda *args: line)
+        ch = CompositeProduct((WEAK,))
+        if want is None:
+            with pytest.raises(AccuracyError, match="CDF evaluation lost"):
+                z_cdf(ch, x)
+        else:
+            got = z_cdf(ch, x)
+            assert got == want and math.copysign(1.0, got) == 1.0
 
 
 @pytest.mark.slow

@@ -13,6 +13,7 @@ from cascade_fading.distributions import (
     z_cdf,
 )
 from cascade_fading.performance import (
+    OutageResult,
     diversity_order,
     gamma_s,
     op_fso_cascade,
@@ -30,6 +31,15 @@ WS = CompositeProduct((WEAK, STRONG))
 
 def db(v):
     return 10.0 ** (v / 10.0)
+
+
+class TestOutageResult:
+    @pytest.mark.parametrize("p", [1.5, -0.25, math.nan])
+    def test_probability_outside_0_1_refused(self, p):
+        # every operator hands z_cdf's value on unclipped, so a value outside
+        # [0, 1] reaches the result only by direct construction
+        with pytest.raises(DomainError, match="outside"):
+            OutageResult(p, "exact")
 
 
 class TestCascadeOutage:

@@ -401,6 +401,37 @@ class TestMeijerGOracle:
         with pytest.raises(AccuracyError):
             meijer_g(spec, 1.0)
 
+    def test_zero_on_the_strip_refused(self):
+        # Gamma(1 + s)^2 Gamma(1 - s)^2 / (Gamma(0.9 + s) Gamma(0.9 - s)) is
+        # even, so its line sits at c = 0 and its strip reaches 0.9 of the
+        # way to the poles at -+1, where 1/Gamma(0.9 -+ s) vanishes
+        kern = specfun._GammaKernel([(1.0, 1.0, 2), (1.0, -1.0, 2),
+                                     (0.9, 1.0, -1), (0.9, -1.0, -1)])
+        with pytest.raises(AccuracyError, match="vanishes on its strip"):
+            specfun._mb_integral(kern, 0.0, -1.0, 1.0, 0.0, False)
+
+    @pytest.mark.parametrize("a,b,x", [
+        ((-66.1,), (4.4, 16.1), 1e-46),
+        ((-5.6,), (1026.6, 7.0), 1e33),
+    ])
+    def test_rise_up_the_line_refused(self, a, b, x):
+        # 1/Gamma(1 - b_2 - s) grows up the line faster than the numerators
+        # fall at the probe's height, so no first chunk can be sized there
+        with pytest.raises(AccuracyError, match="does not decay up the line"):
+            meijer_g(MeijerGSpec(1, 1, 1, 2, a, b), x)
+
+    def test_saddle_search_ends_at_its_iteration_cap(self, monkeypatch):
+        # G^{1,0}_{0,1}(x | 0) = e^-x: from c = 1 Newton climbs towards the
+        # saddle near c = x by factors, and at x = 1e280 runs out of steps;
+        # the integrand's size at any c of the strip bounds the integral, so
+        # the line there still proves e^-x zero
+        calls = []
+        slopes = specfun._GammaKernel.slopes
+        monkeypatch.setattr(specfun._GammaKernel, "slopes",
+                            lambda *args: calls.append(1) or slopes(*args))
+        assert meijer_g(MeijerGSpec(1, 0, 0, 1, (), (0.0,)), 1e280).value == 0.0
+        assert len(calls) == specfun._SADDLE_ITERS
+
 
 class TestPsi:
     """The digamma and trigamma of the saddle search against mpmath."""

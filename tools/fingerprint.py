@@ -1,9 +1,9 @@
 """Value fingerprint of the analytic layer, and how far two trees differ.
 
 Prints one line per outcome: `z_cdf`, `z_pdf`, `z_cdf_asymptotic` and the
-raw F, Q and f line integrals (value and error estimate) of 14 channels at
+raw F, Q and f line integrals (value and error estimate) of 15 channels at
 24 x from 5e-324 to 1e300, and `meijer_g` (value and error estimate) of 7
-specs at 12 x; 2100 outcomes in all.  An outcome is the repr of each
+specs at 12 x; 2244 outcomes in all.  An outcome is the repr of each
 float, or the type and message of the exception raised.
 
     python tools/fingerprint.py                    # the tree's own src/
@@ -56,6 +56,11 @@ CHANNELS = {
     # double: the PDF refuses there; at 1e-312 it is 7.3e306, finite although
     # e^peak alone is not
     "tiny_shape": (((0.01, 3.0),), ()),
+    # a shape so large that the log integrand's terms leave it no digits:
+    # every line refuses but the few proven zero.  Before lines checked
+    # their rounding, the CDF came out -0.0042 at x = 1e-4 and 1.0e-7 at
+    # x = 0.1, where the beta -> inf limit is 0.25
+    "huge_shape": (((4.942, 1e16), STRONG, STRONG), ()),
 }
 MEIJER_XS = (1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.1, 0.7, 1.0, 10.0, 1e4, 1e50, 1e300)
 # (m, n, p, q, a, b)
