@@ -77,8 +77,8 @@ def fso_gg_params(sigma_r2):
         raise DomainError("sigma_r2 must be positive")
     try:
         s65 = sigma_r2 ** (6.0 / 5.0)
-        alpha = 1.0 / (math.exp(0.49 * sigma_r2 / (1.0 + 1.11 * s65) ** (7.0 / 6.0)) - 1.0)
-        beta = 1.0 / (math.exp(0.51 * sigma_r2 / (1.0 + 0.69 * s65) ** (7.0 / 6.0)) - 1.0)
+        alpha = 1.0 / math.expm1(0.49 * sigma_r2 / (1.0 + 1.11 * s65) ** (7.0 / 6.0))
+        beta = 1.0 / math.expm1(0.51 * sigma_r2 / (1.0 + 0.69 * s65) ** (7.0 / 6.0))
     except _OUT_OF_RANGE:
         raise DomainError(f"Gamma-Gamma fit leaves the double range: {sigma_r2=!r}") from None
     return GammaGammaParams(alpha, beta, 1.0)
@@ -97,16 +97,9 @@ def thz_gg_params(sigma_r2, aperture_radius, wavelength, distance):
     try:
         d2 = math.pi * aperture_radius**2 / (2.0 * wavelength * distance)
         s65 = sigma_r2 ** (6.0 / 5.0)
-        alpha = 1.0 / (
-            math.exp(0.49 * sigma_r2 / (1.0 + 0.65 * d2 + 1.11 * s65) ** (7.0 / 6.0)) - 1.0
-        )
-        beta = 1.0 / (
-            math.exp(
-                0.51 * sigma_r2 * (1.0 + 0.69 * s65) ** (-5.0 / 6.0)
-                / (1.0 + 0.9 * d2 + 0.62 * d2 * s65)
-            )
-            - 1.0
-        )
+        alpha = 1.0 / math.expm1(0.49 * sigma_r2 / (1.0 + 0.65 * d2 + 1.11 * s65) ** (7.0 / 6.0))
+        beta = 1.0 / math.expm1(0.51 * sigma_r2 * (1.0 + 0.69 * s65) ** (-5.0 / 6.0)
+                                / (1.0 + 0.9 * d2 + 0.62 * d2 * s65))
     except _OUT_OF_RANGE:
         raise DomainError(f"Gamma-Gamma fit leaves the double range: {sigma_r2=!r}, "
                           f"{aperture_radius=!r}") from None

@@ -1,13 +1,14 @@
 """Monte Carlo oracle for every scenario the closed forms cover.
 
 Sampling runs over counter-based Philox substreams: chunk k of a run seeded
-with `seed` draws from Philox(key=seed, counter=k << 128), so results are
-bit-reproducible for a given (seed, n) regardless of how chunks are
-scheduled, and chunk tallies aggregate order-independently.  Each call
-starts up to one thread per usable CPU and joins them before it returns:
-numpy's samplers release the interpreter lock, and the integer tallies sum
-exactly.  The threads come from `threading`, which numpy already loads; no
-pool module is imported.
+with `seed` holds its draws [k 2^16, (k + 1) 2^16) and takes them from
+Philox(key=seed, counter=k << 128), so results are bit-reproducible for a
+given (seed, n) regardless of how chunks are scheduled, and chunk tallies
+aggregate order-independently.  Each call starts min(chunks, usable CPUs)
+threads and joins them before it returns: numpy's samplers release the
+interpreter lock, and the integer tallies sum exactly.  A thread holds one
+chunk's arrays at a time, 1 to 1.5 MB.  The threads come from `threading`,
+which numpy already loads; no pool module is imported.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from .specfun import DomainError
 
 __all__ = ["McEstimate", "mc_cdf", "mc_op_parallel", "mc_op_thz", "ks_statistic"]
 
-_CHUNK = 1 << 19
-# hit predicates run on slices of this many draws, so their temporaries
-# stay small next to the chunk
-_BLOCK = 1 << 16
+# draws per chunk: one Philox substream, one worker task and one tally
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,7 @@ def _substream(seed, chunk_index):
 
 
 def _chunks(n):
-    sizes = []
-    left = n
-    while left > 0:
-        sizes.append(min(_CHUNK, left))
-        left -= sizes[-1]
-    return sizes
+    return [min(_CHUNK, n - lo) for lo in range(0, n, _CHUNK)]
 
 
 def _estimate(hits, n, seed, streams):
@@ -128,12 +122,7 @@ def _tally(n, seed, draw, hit, points):
 
     def chunk(k):
         stat = draw(_substream(seed, k), sizes[k])
-        counts = [0] * len(points)
-        for lo in range(0, sizes[k], _BLOCK):
-            block = stat[lo:lo + _BLOCK]
-            for i, point in enumerate(points):
-                counts[i] += int(np.count_nonzero(hit(block, *point)))
-        return counts
+        return [int(np.count_nonzero(hit(stat, *point))) for point in points]
 
     workers = min(len(sizes), _usable_cpus())
     tallies = [None] * len(sizes)

@@ -102,8 +102,28 @@ class TestGgParams:
             p = thz_gg_params(float(s2), 0.05, lam, 150.0)
             assert p.alpha > p.beta > 0
 
-    # where the fits leave the double range they refuse; they keep their
-    # 1/(exp(x) - 1) form, in which exp(x) - 1 is 0.0 for x below ~1.1e-16
+    @pytest.mark.parametrize("wavelength, distance", [(1550e-9, 1000.0), (1550e-9, 100.0),
+                                                      (1e-3, 1000.0), (1e-3, 100.0)])
+    def test_weak_turbulence_against_mpmath(self, wavelength, distance):
+        # at Cn2 = 1e-17 the exponents x are 1e-4 to 1e-9: 1/(exp(x) - 1)
+        # lost up to 1.5e-7 of a shape here, 1/expm1(x) keeps every digit
+        import mpmath
+        s2, b = rytov_variance(1e-17, wavelength, distance), 0.05
+        fso, thz = fso_gg_params(s2), thz_gg_params(s2, b, wavelength, distance)
+        with mpmath.workdps(40):
+            s, e = mpmath.mpf(s2), mpmath.mpf(7) / 6
+            s65 = s ** (mpmath.mpf(6) / 5)
+            d2 = mpmath.pi * mpmath.mpf(b) ** 2 / (2 * mpmath.mpf(wavelength) * distance)
+            want = [0.49 * s / (1 + 1.11 * s65) ** e,
+                    0.51 * s / (1 + 0.69 * s65) ** e,
+                    0.49 * s / (1 + 0.65 * d2 + 1.11 * s65) ** e,
+                    0.51 * s * (1 + 0.69 * s65) ** (-mpmath.mpf(5) / 6)
+                    / (1 + 0.9 * d2 + 0.62 * d2 * s65)]
+            want = [float(1 / mpmath.expm1(x)) for x in want]
+        assert [fso.alpha, fso.beta, thz.alpha, thz.beta] == pytest.approx(want, rel=1e-14)
+
+    # where the fits leave the double range they refuse; at sigma_r2 = 1e-300
+    # the shapes come out near 1e300 and their product overflows
     @pytest.mark.parametrize("sigma_r2", [1e-300, 1e300])
     def test_fso_double_range(self, sigma_r2):
         with pytest.raises(DomainError, match="double range"):

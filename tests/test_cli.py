@@ -557,12 +557,12 @@ class TestDoubleRange:
         path.write_text(write_config(_with_field(
             parse_config(recipe_path("fig9")), "atmosphere", "cn2", 1e-300)))
         assert main(["run", str(path)]) == 2
-        assert "[sweep] distance_2: sweep_value=100: Gamma-Gamma fit leaves " \
+        assert "[sweep] distance_2: sweep_value=100: Gamma-Gamma law leaves " \
             "the double range" in capsys.readouterr().err
         # eval builds the channel outside a sweep; it raised the DomainError
         for quantity in ("cdf", "pdf", "diversity"):
             assert main(["eval", str(path), "--quantity", quantity, "--at", "0.5"]) == 2
-            assert "[-] config: Gamma-Gamma fit leaves" in capsys.readouterr().err
+            assert "[-] config: Gamma-Gamma law leaves" in capsys.readouterr().err
 
 
 class TestRun:

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,10 +51,10 @@ def _plain(state):
 
 
 def _serial_tally(n, seed, draw, hit, points):
-    """Reference chunk loop: chunk k of 2^19 draws from Philox(seed, k << 128),
+    """Reference chunk loop: chunk k of mc._CHUNK draws from Philox(seed, k << 128),
     drawn one after another, each point's predicate on the whole chunk."""
     hits = [0] * len(points)
-    sizes = [min(1 << 19, n - lo) for lo in range(0, n, 1 << 19)]
+    sizes = [min(mc._CHUNK, n - lo) for lo in range(0, n, mc._CHUNK)]
     for k, size in enumerate(sizes):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=k << 128))
         stat = draw(rng, size)
@@ -75,7 +76,7 @@ class TestMcCdf:
 
     def test_chunking_invisible(self):
         # one full chunk vs a partial tail chunk share the leading stream
-        big = mc_cdf(MIXED_21, 0.3, (1 << 19) + 1000, 7)
+        big = mc_cdf(MIXED_21, 0.3, mc._CHUNK + 1000, 7)
         assert big.streams == 2
 
     def test_matches_analytic_within_3_sigma(self):
@@ -169,7 +170,7 @@ class TestThreadedChunks:
     """Chunks drawn on worker threads tally exactly what a serial chunk loop
     gives, for any number of usable CPUs."""
 
-    N = 3 * (1 << 19) + 7  # four chunks, the last one short
+    N = 3 * mc._CHUNK + 7  # four chunks, the last one short
 
     @pytest.fixture(params=[None, 1, 8], ids=["host", "one-cpu", "eight-cpus"])
     def workers(self, request, monkeypatch):
@@ -240,13 +241,13 @@ class TestThreadedChunks:
             pass
 
         def draw(rng, size):
-            if size < 1 << 19:  # the short second chunk
+            if size < mc._CHUNK:  # the short second chunk
                 raise Boom(size)
             return sample_z(MIXED_21, rng, size)
 
         before = threading.active_count()
         with pytest.raises(Boom):
-            mc._tally((1 << 19) + 5, 3, draw, lambda z, t: z <= t, [(0.3,)])
+            mc._tally(mc._CHUNK + 5, 3, draw, lambda z, t: z <= t, [(0.3,)])
         assert threading.active_count() == before
 
     def test_cpu_count_without_affinity(self, monkeypatch):
@@ -255,6 +256,30 @@ class TestThreadedChunks:
         assert mc._usable_cpus() == 1
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert mc._usable_cpus() == 3
+
+
+class TestMemory:
+    """A call holds one chunk's arrays per worker thread, whatever n is."""
+
+    # bytes: the three calls peak at 2.0, 3.0 and 3.0 MB; with 2^19-draw
+    # chunks they peaked at 8.6, 16.3 and 9.1 MB
+    BOUND = 4 << 20
+
+    @pytest.mark.parametrize("call", [
+        lambda: mc_cdf(MIXED_21, 0.3, 10**6, 1),
+        lambda: mc_op_parallel(BRANCH, 2, db(20), 10**6, 1),
+        lambda: mc_op_thz(TestMcThz.CH, db(20), 2.0, 0.25, 0.15, 10**6, 1),
+    ], ids=["cdf", "parallel", "thz"])
+    def test_peak_with_two_workers(self, call, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        call()  # numpy's one-off allocations are not the call's
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND
 
 
 class TestMcParallel:
@@ -311,7 +336,7 @@ class TestThresholdSequences:
     """A sequence of thresholds is tallied on one set of draws; each estimate
     equals the scalar call's bit for bit."""
 
-    N = (1 << 19) + 3000  # two chunks
+    N = mc._CHUNK + 3000  # two chunks
 
     def test_cdf(self):
         xs = [0.05, 0.3, 0.9, 2.5]

@@ -2,9 +2,11 @@
 
 Prints one line per outcome: `z_cdf`, `z_pdf`, `z_cdf_asymptotic` and the
 raw F, Q and f line integrals (value and error estimate) of 15 channels at
-24 x from 5e-324 to 1e300, and `meijer_g` (value and error estimate) of 7
-specs at 12 x; 2244 outcomes in all.  An outcome is the repr of each
-float, or the type and message of the exception raised.
+24 x from 5e-324 to 1e300, `meijer_g` (value and error estimate) of 7 specs
+at 12 x, and `mc_cdf`, `mc_op_parallel` and `mc_op_thz` (value, standard
+error and streams) of 2 channels at 4 (seed, n); 2268 outcomes in all.  An
+outcome is the repr of each float, or the type and message of the exception
+raised.
 
     python tools/fingerprint.py                    # the tree's own src/
     python tools/fingerprint.py --src OTHER/src    # another tree's
@@ -73,7 +75,13 @@ SPECS = {
     "cdf3124": (3, 1, 2, 4, (1.0, 7.7), (4.94, 1.23, 6.7, 0.0)),
     "pole_on_search": (2, 1, 1, 3, (-3.0,), (4.94, 1.23, 0.0)),
 }
-KINDS = ("z_cdf", "z_pdf", "z_cdf_asymptotic", "F", "Q", "f", "meijer_g")
+# Monte Carlo: one chunk, a full chunk, one draw past it, and many chunks
+MC_CHANNELS = ("clean_pair", "pointing_pair")
+MC_RUNS = ((1, 20000), (1, 1 << 16), (1, (1 << 16) + 1), (3, 10**6))
+# threshold arguments of each estimator after the channel
+MC_CALLS = {"mc_cdf": (0.3,), "mc_op_parallel": (2, 100.0),
+            "mc_op_thz": (100.0, 2.0, 0.25, 0.15)}
+KINDS = ("z_cdf", "z_pdf", "z_cdf_asymptotic", "F", "Q", "f", "meijer_g", "mc")
 
 
 def _outcome(fn, *args):
@@ -85,16 +93,21 @@ def _outcome(fn, *args):
     return " ".join(repr(float(v)) for v in (out if isinstance(out, tuple) else (out,)))
 
 
+def _mc(fn, *args):
+    est = fn(*args)
+    return est.value, est.std_error, est.streams
+
+
 def fingerprint():
     """[(key, outcome)] of the package on sys.path."""
-    from cascade_fading import distributions, specfun
+    from cascade_fading import distributions, mc, specfun
     from cascade_fading.distributions import (
         CompositeProduct, GammaGammaParams, PointingErrorParams)
 
-    lines = []
+    lines, built = [], {}
     for name, (gg, pe) in CHANNELS.items():
-        ch = CompositeProduct(tuple(GammaGammaParams(*g) for g in gg),
-                              tuple(PointingErrorParams(*p) for p in pe))
+        ch = built[name] = CompositeProduct(tuple(GammaGammaParams(*g) for g in gg),
+                                            tuple(PointingErrorParams(*p) for p in pe))
         law = ch._law
         for x in XS:
             lines.append((f"z_cdf {name} {x!r}", _outcome(distributions.z_cdf, ch, x)))
@@ -111,6 +124,11 @@ def fingerprint():
                 g = specfun.meijer_g(spec, v)
                 return g.value, g.est_abs_err
             lines.append((f"meijer_g {name} {x!r}", _outcome(value)))
+    for name in MC_CHANNELS:
+        for seed, n in MC_RUNS:
+            for fn, args in MC_CALLS.items():
+                lines.append((f"mc {fn} {name} {seed} {n}", _outcome(
+                    _mc, getattr(mc, fn), built[name], *args, n, seed)))
     return lines
 
 
